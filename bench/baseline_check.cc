@@ -1,7 +1,7 @@
 // Offline validator for the machine-readable perf baselines the figure
-// benches emit with --json (BENCH_fig6.json / BENCH_fig9.json; schema in
-// docs/EXPERIMENTS.md and bench/bench_util.h). Used by the bench_smoke
-// ctest and by hand before committing a refreshed baseline:
+// benches emit with --json (BENCH_*.json; schema in docs/EXPERIMENTS.md
+// and bench/bench_util.h). Used by the *_smoke and *_baseline_check
+// ctests and by hand before committing a refreshed baseline:
 //
 //   baseline_check <baseline.json> [--require-sim-improvement]
 //                                  [--require-improvement]
@@ -9,17 +9,19 @@
 //                                  [--require-shard-scaling]
 //                                  [--against=<old.json>]
 //
-// Validates the schema. --require-sim-improvement additionally asserts
-// that, summed over the queries carrying a row-engine re-run, the
-// vectorized engine spent strictly fewer simulated cycles than the row
-// engine (deterministic — the bench_smoke ctest gate).
-// --require-improvement asserts the wall clock too (machine-dependent;
-// run by hand before committing a refreshed baseline).
-// --require-sim-overhead asserts the opposite inequality: the measured
-// mode spent strictly MORE simulated cycles than its row-engine
-// baseline — the gate for BENCH_oblivious.json, where the padded
-// pipeline is expected to pay for its shape-only access sequence
-// (oblivious_smoke ctest; docs/OBLIVIOUS.md).
+// Validates the schema. The optional `row_*` columns hold the bench's
+// baseline re-run of each query (1 shard for fig12, the synchronous
+// pipeline for serve, the plain engine for fig_oblivious).
+// --require-sim-improvement additionally asserts that, summed over the
+// queries carrying a baseline re-run, the measured run spent strictly
+// fewer simulated cycles than the baseline (deterministic — the
+// fig12_smoke and serve_smoke ctest gate). --require-improvement asserts
+// the wall clock too (machine-dependent; run by hand before committing a
+// refreshed baseline). --require-sim-overhead asserts the opposite
+// inequality: the measured mode spent strictly MORE simulated cycles
+// than its baseline — the gate for BENCH_oblivious.json, where the
+// padded pipeline must pay for its shape-only access sequence over the
+// plain engine (oblivious_smoke ctest; docs/OBLIVIOUS.md).
 // --require-shard-scaling reads "name@shards" query keys (the
 // BENCH_fig12.json convention) and asserts, per query, that the largest
 // shard count spent strictly fewer simulated cycles than the smallest,
@@ -196,23 +198,23 @@ int Main(int argc, char** argv) {
 
   if (require_sim) {
     if (compared == 0) {
-      return Fail("improvement check: no row-engine entries to compare");
+      return Fail("improvement check: no baseline entries to compare");
     }
     if (vec_cycles >= row_cycles) {
-      return Fail("vectorized engine not cheaper in simulated cycles: " +
-                  std::to_string(vec_cycles) + " vs row " +
+      return Fail("measured run not cheaper in simulated cycles: " +
+                  std::to_string(vec_cycles) + " vs baseline " +
                   std::to_string(row_cycles));
     }
   }
   if (require_overhead) {
     if (compared == 0) {
-      return Fail("overhead check: no row-engine entries to compare");
+      return Fail("overhead check: no baseline entries to compare");
     }
     if (vec_cycles <= row_cycles) {
       return Fail(
-          "measured mode not costlier in simulated cycles than its row "
+          "measured mode not costlier in simulated cycles than its "
           "baseline: " +
-          std::to_string(vec_cycles) + " vs row " +
+          std::to_string(vec_cycles) + " vs baseline " +
           std::to_string(row_cycles) +
           " (an oblivious baseline must pay for its padding)");
     }
@@ -261,13 +263,13 @@ int Main(int argc, char** argv) {
   }
   if (!against.empty() && CompareAgainst(*queries, against) != 0) return 1;
   if (require_wall && vec_wall >= row_wall) {
-    return Fail("vectorized engine not faster in wall clock: " +
-                std::to_string(vec_wall) + " ms vs row " +
+    return Fail("measured run not faster in wall clock: " +
+                std::to_string(vec_wall) + " ms vs baseline " +
                 std::to_string(row_wall) + " ms");
   }
 
   std::printf(
-      "baseline ok: %s, %zu queries, %d with row-engine comparison"
+      "baseline ok: %s, %zu queries, %d with a baseline re-run"
       " (sim %.0f vs %.0f cycles, wall %.1f vs %.1f ms)\n",
       benchmark->string_value.c_str(), queries->object_value.size(), compared,
       vec_cycles, row_cycles, vec_wall, row_wall);

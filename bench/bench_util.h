@@ -216,8 +216,9 @@ inline sim::SimNanos Percentile(std::vector<sim::SimNanos>& v, int p) {
 }
 
 /// Collects per-query measurements and writes the machine-readable perf
-/// baseline committed as `BENCH_fig6.json` / `BENCH_fig9.json` and
-/// validated by the `bench_smoke` ctest. Schema (docs/EXPERIMENTS.md):
+/// baselines committed as `BENCH_*.json` and validated by baseline_check
+/// (the `*_smoke` and `*_baseline_check` ctests). Schema
+/// (docs/EXPERIMENTS.md):
 ///
 ///   {"version": 1,
 ///    "benchmark": "<harness name>",
@@ -230,9 +231,10 @@ inline sim::SimNanos Percentile(std::vector<sim::SimNanos>& v, int p) {
 /// host cycles at the paper profile's 3.7 GHz — integral and identical on
 /// every machine. `wall_ms` is real elapsed time for the same run: it is
 /// machine-dependent and committed for trend reading, never CI-gated.
-/// The `row_*` pair, when present, is the same query re-run on the legacy
-/// row-at-a-time engine, so the committed file carries the before/after
-/// evidence for the vectorized engine in one place.
+/// The `row_*` pair, when present, is the bench's baseline re-run of the
+/// same query: 1 shard for fig12, the synchronous pipeline for serve,
+/// the plain (non-oblivious) engine for fig_oblivious. baseline_check
+/// gates the direction between the two columns.
 class BaselineWriter {
  public:
   BaselineWriter(const BenchArgs& args, std::string benchmark)
@@ -254,14 +256,14 @@ class BaselineWriter {
         std::llround(static_cast<double>(sim_ns) * ghz));
   }
 
-  /// Records the default-engine (vectorized) measurement for `query`.
+  /// Records the measured run of `query`.
   void Add(const std::string& query, sim::SimNanos sim_ns, double wall_ms) {
     Entry& e = Find(query);
     e.sim_cycles = SimCycles(sim_ns);
     e.wall_ms = wall_ms;
   }
 
-  /// Records the row-engine re-run of `query` (the "before" column).
+  /// Records the baseline re-run of `query` (the `row_*` columns).
   void AddRow(const std::string& query, sim::SimNanos sim_ns,
               double wall_ms) {
     Entry& e = Find(query);

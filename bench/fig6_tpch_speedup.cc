@@ -3,14 +3,11 @@
 // Prints one row per evaluated query plus the secure-case average the
 // abstract headlines (paper: 2.3x on average).
 //
-// Each hons run is repeated on the legacy row-at-a-time engine; the
-// vec-gain column and the committed BENCH_fig6.json baseline carry the
-// before/after evidence for the vectorized engine (simulated cycles and
-// wall clock both). The comparison rides on hons because its time is
-// execution-dominated — the secure configurations spend most of their
-// (real and simulated) time in page crypto, which is engine-independent
-// and would bury the signal. `--quick` truncates to the first three
-// queries for the bench_smoke ctest; `--json=<path>` writes the
+// The committed BENCH_fig6.json baseline records each query's hons run
+// (simulated cycles and wall clock): hons time is execution-dominated,
+// so it tracks the SQL engine, while the secure configurations spend
+// most of their time in page crypto. `--quick` truncates to the first
+// three queries for the bench_smoke ctest; `--json=<path>` writes the
 // baseline.
 
 #include "bench/bench_util.h"
@@ -29,9 +26,9 @@ int Main(int argc, char** argv) {
 
   PrintHeader("Figure 6: TPC-H speedup from computational storage (SF=" +
               std::to_string(sf) + ")");
-  std::printf("%5s %14s %14s %14s %14s %10s %10s %14s %10s %10s\n", "query",
+  std::printf("%5s %14s %14s %14s %14s %10s %10s %10s\n", "query",
               "hons(ms)", "vcs(ms)", "hos(ms)", "scs(ms)", "ns-speedup",
-              "s-speedup", "hons-row(ms)", "vec-gain", "wall(ms)");
+              "s-speedup", "wall(ms)");
 
   WallClock total;
   double sum_secure_speedup = 0;
@@ -46,27 +43,17 @@ int Main(int argc, char** argv) {
     BENCH_ASSIGN(auto hos, system->Run(SystemConfig::kHos, query.sql));
     BENCH_ASSIGN(auto scs, system->Run(SystemConfig::kScs, query.sql));
 
-    // The same query on the pre-vectorization engine, same configuration.
-    system->set_engine(sql::ExecEngine::kRow);
-    WallClock row_wall;
-    BENCH_ASSIGN(auto hons_row, system->Run(SystemConfig::kHons, query.sql));
-    double row_wall_ms = row_wall.ms();
-    system->set_engine(sql::ExecEngine::kVectorized);
-
-    std::string key = "q" + std::to_string(query.number);
-    baseline.Add(key, hons.cost.elapsed_ns(), hons_wall_ms);
-    baseline.AddRow(key, hons_row.cost.elapsed_ns(), row_wall_ms);
+    baseline.Add("q" + std::to_string(query.number), hons.cost.elapsed_ns(),
+                 hons_wall_ms);
 
     double nonsecure = hons.cost.elapsed_ms() / vcs.cost.elapsed_ms();
     double secure = hos.cost.elapsed_ms() / scs.cost.elapsed_ms();
-    double vec_gain = hons_row.cost.elapsed_ms() / hons.cost.elapsed_ms();
     sum_secure_speedup += secure;
     ++n;
-    std::printf(
-        "%5d %14.3f %14.3f %14.3f %14.3f %9.2fx %9.2fx %14.3f %9.2fx %10.1f\n",
-        query.number, hons.cost.elapsed_ms(), vcs.cost.elapsed_ms(),
-        hos.cost.elapsed_ms(), scs.cost.elapsed_ms(), nonsecure, secure,
-        hons_row.cost.elapsed_ms(), vec_gain, wall.ms());
+    std::printf("%5d %14.3f %14.3f %14.3f %14.3f %9.2fx %9.2fx %10.1f\n",
+                query.number, hons.cost.elapsed_ms(), vcs.cost.elapsed_ms(),
+                hos.cost.elapsed_ms(), scs.cost.elapsed_ms(), nonsecure,
+                secure, wall.ms());
   }
   std::printf("\naverage secure speedup (hos/scs): %.2fx (paper: 2.3x)\n",
               sum_secure_speedup / n);

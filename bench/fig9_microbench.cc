@@ -7,9 +7,9 @@
 //  (c) sos secure-storage overhead breakdown for Q2 and Q9 (paper: ~70-80%
 //      freshness verification, ~15% decryption).
 //
-// The scs leg of sweeps (a) and (b) is repeated on the legacy row engine;
-// `--json=<path>` commits the before/after baseline as BENCH_fig9.json
-// and `--quick` truncates every sweep for smoke runs.
+// `--json=<path>` commits the scs leg of sweeps (a) and (b) and the sos
+// runs of (c) as the BENCH_fig9.json baseline, and `--quick` truncates
+// every sweep for smoke runs.
 
 #include "bench/bench_util.h"
 
@@ -39,23 +39,17 @@ uint64_t DataBytes(engine::CsaSystem* system) {
   return pages * 4096;
 }
 
-/// Runs `sql` under `config` twice — vectorized, then row engine — and
-/// files both measurements with the baseline writer under `key`.
-engine::QueryOutcome RunBothEngines(engine::CsaSystem* system,
-                                    SystemConfig config,
-                                    const std::string& query_sql,
-                                    BaselineWriter* baseline,
-                                    const std::string& key) {
-  WallClock vec_wall;
-  BENCH_ASSIGN(auto vec, system->Run(config, query_sql));
-  baseline->Add(key, vec.cost.elapsed_ns(), vec_wall.ms());
-
-  system->set_engine(sql::ExecEngine::kRow);
-  WallClock row_wall;
-  BENCH_ASSIGN(auto row, system->Run(config, query_sql));
-  baseline->AddRow(key, row.cost.elapsed_ns(), row_wall.ms());
-  system->set_engine(sql::ExecEngine::kVectorized);
-  return vec;
+/// Runs `sql` under `config` and files the measurement with the
+/// baseline writer under `key`.
+engine::QueryOutcome RunRecorded(engine::CsaSystem* system,
+                                 SystemConfig config,
+                                 const std::string& query_sql,
+                                 BaselineWriter* baseline,
+                                 const std::string& key) {
+  WallClock wall;
+  BENCH_ASSIGN(auto outcome, system->Run(config, query_sql));
+  baseline->Add(key, outcome.cost.elapsed_ns(), wall.ms());
+  return outcome;
 }
 
 int Main(int argc, char** argv) {
@@ -89,7 +83,7 @@ int Main(int argc, char** argv) {
     BENCH_ASSIGN(auto hos, system->Run(SystemConfig::kHos, q));
     char key[48];
     std::snprintf(key, sizeof(key), "q1-size-x%.2f", mult);
-    auto scs = RunBothEngines(system.get(), SystemConfig::kScs, q,
+    auto scs = RunRecorded(system.get(), SystemConfig::kScs, q,
                               &baseline, key);
     BENCH_ASSIGN(auto sos, system->Run(SystemConfig::kSos, q));
     std::printf("%8.4f %12.3f %12.3f %12.3f %12llu\n", sf,
@@ -119,7 +113,7 @@ int Main(int argc, char** argv) {
     double sel = 100.0 * static_cast<double>(matching.result.rows[0][0].AsInt()) /
                  static_cast<double>(total.result.rows[0][0].AsInt());
     BENCH_ASSIGN(auto hos, system->Run(SystemConfig::kHos, q));
-    auto scs = RunBothEngines(system.get(), SystemConfig::kScs, q, &baseline,
+    auto scs = RunRecorded(system.get(), SystemConfig::kScs, q, &baseline,
                               std::string("q1-sel-") + cutoff);
     BENCH_ASSIGN(auto sos, system->Run(SystemConfig::kSos, q));
     std::printf("%11.1f%% %10lld %12.3f %12.3f %12.3f\n", sel,
@@ -134,7 +128,7 @@ int Main(int argc, char** argv) {
               "decrypt%", "other%");
   for (int qnum : {2, 9}) {
     BENCH_ASSIGN(const tpch::TpchQuery* query, tpch::GetQuery(qnum));
-    auto sos = RunBothEngines(system.get(), SystemConfig::kSos, query->sql,
+    auto sos = RunRecorded(system.get(), SystemConfig::kSos, query->sql,
                               &baseline, "q" + std::to_string(qnum) + "-sos");
     double total = static_cast<double>(sos.cost.elapsed_ns());
     double fresh = 100.0 * static_cast<double>(sos.cost.freshness_ns()) / total;

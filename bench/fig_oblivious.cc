@@ -1,9 +1,9 @@
 // Oblivious-mode overhead: every evaluated TPC-H query, host-only
 // (hons), plain vs oblivious execution (docs/OBLIVIOUS.md). Columns:
-// plain row engine / plain vectorized engine / oblivious mode, all
-// simulated, plus the oblivious/vectorized overhead factor. The
-// committed BENCH_oblivious.json carries the oblivious measurement in
-// the `sim_cycles` column and the plain row-engine run in `row_*`, so
+// plain vectorized engine / oblivious mode, both simulated, plus the
+// oblivious/plain overhead factor. The committed BENCH_oblivious.json
+// carries the oblivious measurement in the `sim_cycles` column and the
+// plain run in the `row_*` baseline columns, so
 // `baseline_check --require-sim-overhead` gates the expected direction:
 // the padded pipeline must pay — full scans with no pushdown, padded
 // filters/aggregates, O(n log^2 n) sort networks and sort-merge joins
@@ -31,7 +31,7 @@ int Main(int argc, char** argv) {
 
   PrintHeader("Oblivious-mode overhead, host-only TPC-H (SF=" +
               std::to_string(sf) + ")");
-  std::printf("%5s %14s %14s %14s %10s %10s\n", "query", "row(ms)", "vec(ms)",
+  std::printf("%5s %14s %14s %10s %10s\n", "query", "plain(ms)",
               "oblivious(ms)", "overhead", "wall(ms)");
 
   WallClock total;
@@ -42,13 +42,9 @@ int Main(int argc, char** argv) {
     if (remaining-- <= 0) break;
     WallClock wall;
 
-    system->set_engine(sql::ExecEngine::kRow);
-    WallClock row_wall;
-    BENCH_ASSIGN(auto row, system->Run(SystemConfig::kHons, query.sql));
-    double row_wall_ms = row_wall.ms();
-
-    system->set_engine(sql::ExecEngine::kVectorized);
+    WallClock vec_wall;
     BENCH_ASSIGN(auto vec, system->Run(SystemConfig::kHons, query.sql));
+    double vec_wall_ms = vec_wall.ms();
 
     system->set_oblivious(true);
     WallClock obl_wall;
@@ -65,14 +61,14 @@ int Main(int argc, char** argv) {
 
     std::string key = "q" + std::to_string(query.number);
     baseline.Add(key, obl.cost.elapsed_ns(), obl_wall_ms);
-    baseline.AddRow(key, row.cost.elapsed_ns(), row_wall_ms);
+    baseline.AddRow(key, vec.cost.elapsed_ns(), vec_wall_ms);
 
     double overhead = obl.cost.elapsed_ms() / vec.cost.elapsed_ms();
     sum_overhead += overhead;
     ++n;
-    std::printf("%5d %14.3f %14.3f %14.3f %9.2fx %10.1f\n", query.number,
-                row.cost.elapsed_ms(), vec.cost.elapsed_ms(),
-                obl.cost.elapsed_ms(), overhead, wall.ms());
+    std::printf("%5d %14.3f %14.3f %9.2fx %10.1f\n", query.number,
+                vec.cost.elapsed_ms(), obl.cost.elapsed_ms(), overhead,
+                wall.ms());
   }
   std::printf("\naverage oblivious/vectorized overhead: %.2fx over %d "
               "queries\n",

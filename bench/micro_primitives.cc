@@ -172,9 +172,9 @@ void BM_VecFilterI64(benchmark::State& state) {
 }
 BENCHMARK(BM_VecFilterI64)->Arg(0)->Arg(50)->Arg(100);
 
-/// The row engine's equivalent: one boxed Value compare per row. The
+/// The boxed row-at-a-time equivalent: one Value compare per row. The
 /// BM_VecFilterI64 / BM_RowFilterValue ratio is the per-tuple overhead
-/// the vectorized engine removes.
+/// the batch kernels remove.
 void BM_RowFilterValue(benchmark::State& state) {
   std::vector<int64_t> raw = KernelColumn();
   std::vector<sql::Value> vals;

@@ -228,7 +228,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
   // --json: same BENCH_*.json schema as the figure benches (one row per
-  // simulated aggregate; no row-engine comparison column here).
+  // simulated aggregate; no baseline re-run column here).
   double wall_ms = wall.ms();
   writer.Add("monitor_total", grand.monitor_ns, wall_ms);
   writer.Add("execution_total", grand.execution_ns, wall_ms);

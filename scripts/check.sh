@@ -55,6 +55,18 @@ ctest --test-dir build -L oblivious --output-on-failure -j "$JOBS"
 echo "==> sharded-fleet leg (ctest -L dist)"
 ctest --test-dir build -L dist --output-on-failure -j "$JOBS"
 
+echo "==> SQLite-oracle leg (ctest -L oracle)"
+ctest --test-dir build -L oracle --output-on-failure -j "$JOBS"
+
+echo "==> oracle-seed sweep (random SELECTs under 10 seeds)"
+for seed in $(seq 1 10); do
+  IRONSAFE_ORACLE_SEED="$seed" ctest --test-dir build -L oracle -R OracleRandom \
+    --output-on-failure -j "$JOBS" >/dev/null \
+    || { echo "oracle sweep FAILED at seed $seed" >&2
+         IRONSAFE_ORACLE_SEED="$seed" ctest --test-dir build -L oracle \
+           -R OracleRandom --output-on-failure -j "$JOBS"; exit 1; }
+done
+
 echo "==> ironsafe_lint (also gated by ctest -R lint_tree)"
 ./build/tools/ironsafe_lint/ironsafe_lint --root . \
   --json build/lint_report.json

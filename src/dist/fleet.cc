@@ -212,7 +212,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
        .corrupt_fault_site = sim::fault_site::kDistFragmentCorrupt,
        .storage_exec = engine::StorageExecOptions(
            options_.storage_cores, options_.storage_memory_bytes,
-           options_.engine, /*oblivious=*/false),
+           /*oblivious=*/false),
        .host_enclave = host_enclave_.get(),
        .rekey_drbg = &channel_drbg_},
       &outcome.cost);
@@ -336,7 +336,6 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   // merged intermediates, inside the host enclave.
   sql::ExecOptions host_opts;  // host site
   host_opts.parallelism = options_.host_parallelism;
-  host_opts.engine = options_.engine;
   ASSIGN_OR_RETURN(outcome.result,
                    split.RunHostPhase(host_db.get(), *plan.host_query,
                                       host_opts, &outcome.stats));

@@ -30,7 +30,6 @@ struct FleetOptions {
   uint64_t storage_memory_bytes = 32ull * 1024 * 1024 * 1024;  ///< per node
   bool scale_epc_to_data = true;
   int host_parallelism = 1;
-  sql::ExecEngine engine = sql::ExecEngine::kVectorized;
   /// Opt-in distributed partial aggregation (PlannerOptions).
   bool partial_aggregation = false;
   /// Tables absent from the scheme are replicated to every node.

@@ -249,12 +249,11 @@ Result<ChannelPair> ChannelPair::Establish(crypto::Drbg* drbg) {
 }
 
 sql::ExecOptions StorageExecOptions(int cores, uint64_t memory_bytes,
-                                    sql::ExecEngine engine, bool oblivious) {
+                                    bool oblivious) {
   sql::ExecOptions opts;
   opts.site = sim::Site::kStorage;
   opts.parallelism = cores;
   opts.memory_cap_bytes = memory_bytes;
-  opts.engine = engine;
   opts.oblivious = oblivious;
   return opts;
 }
@@ -405,7 +404,6 @@ Status CsaSystem::RunHostOnly(const std::string& sql, bool secure,
 
   sql::ExecOptions opts;  // host site
   opts.parallelism = options_.host_parallelism;
-  opts.engine = options_.engine;
   opts.oblivious = options_.oblivious;
   obs::SpanGuard exec_span("host-execute", "engine", &outcome->cost);
   auto result = db->Execute(sql, &outcome->cost, opts);
@@ -434,7 +432,7 @@ Status CsaSystem::RunStorageOnly(const std::string& sql,
   auto result = storage_.db->Execute(
       sql, &outcome->cost,
       StorageExecOptions(options_.storage_cores, options_.storage_memory_bytes,
-                         options_.engine, options_.oblivious));
+                         options_.oblivious));
   exec_span.Tag("pages_read", static_cast<int64_t>(access->pages_read()));
   exec_span.Tag("cache_hits", static_cast<int64_t>(access->cache_hits()));
   exec_span.Close();
@@ -475,7 +473,7 @@ Status CsaSystem::RunSplit(const std::string& sql, bool secure,
   SplitExecution split(
       {.storage_exec = StorageExecOptions(
            options_.storage_cores, options_.storage_memory_bytes,
-           options_.engine, options_.oblivious),
+           options_.oblivious),
        .host_enclave = secure ? host_enclave_.get() : nullptr,
        .rekey_drbg = &channel_drbg_},
       cost);
@@ -523,7 +521,6 @@ Status CsaSystem::RunSplit(const std::string& sql, bool secure,
 
   // Phase 2: the host engine runs the remainder over the shipped tables.
   sql::ExecOptions host_opts;  // host site
-  host_opts.engine = options_.engine;
   host_opts.oblivious = options_.oblivious;
   ASSIGN_OR_RETURN(outcome->result,
                    split.RunHostPhase(host_db.get(), *plan.host_query,

@@ -50,9 +50,6 @@ struct CsaOptions {
   /// fan-out is `storage_cores`. The paper's host-only baselines run one
   /// query thread, so the default stays 1.
   int host_parallelism = 1;
-  /// SQL execution engine for both sides (vectorized by default; the row
-  /// engine remains for before/after benches and differential tests).
-  sql::ExecEngine engine = sql::ExecEngine::kVectorized;
   /// Oblivious execution (docs/OBLIVIOUS.md) on both sides: scans read
   /// every page in order with no pushdown, filters/aggregates are
   /// dummy-padded and sorts/joins run on merge networks, so the
@@ -176,7 +173,7 @@ uint64_t ScaledEpcBytes(uint64_t data_bytes);
 
 /// Storage-site options for fragments executed near the data.
 sql::ExecOptions StorageExecOptions(int cores, uint64_t memory_bytes,
-                                    sql::ExecEngine engine, bool oblivious);
+                                    bool oblivious);
 
 /// A host↔storage SecureChannel pair under a fresh session key, as the
 /// monitor distributes it (§4.2/§5).
@@ -290,7 +287,6 @@ class CsaSystem {
     options_.aggregation_pushdown = on;
   }
   void set_host_parallelism(int n) { options_.host_parallelism = n; }
-  void set_engine(sql::ExecEngine engine) { options_.engine = engine; }
   void set_oblivious(bool on) { options_.oblivious = on; }
   sql::Database* plain_db() { return plain_db_.get(); }
   sql::Database* secure_db() { return storage_.db.get(); }

@@ -15,7 +15,7 @@ class Tracer;
 /// units (pages / row blocks) were touched in which order, and the shape
 /// parameters of every operator pass. For the oblivious execution mode
 /// the whole stream must be a function of input *shapes* only; for the
-/// plain engines it legitimately tracks selectivity (rows kept per
+/// plain engine it legitimately tracks selectivity (rows kept per
 /// filter, join output sizes, group counts), which is exactly the leak
 /// the property harness demonstrates.
 enum class AccessKind : uint8_t {
@@ -107,7 +107,7 @@ uint64_t Fnv1a64(std::string_view bytes);
 /// deterministic span stream (non-detail spans only — detail spans
 /// legitimately vary with the real worker cap) as
 /// `name|category|id|parent|depth|sim_start|sim_end|tag=value|...`
-/// lines. Stage tags such as rows_out make the plain engines' spans
+/// lines. Stage tags such as rows_out make the plain engine's spans
 /// diverge across value-randomized same-shape inputs, while an
 /// oblivious run's signature must be bit-identical; the simulated
 /// timestamps additionally pin every cost charge.

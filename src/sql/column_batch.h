@@ -73,8 +73,8 @@ class ColumnBatch {
   /// Rebuilds the full row at `r` (resizes `out` to num_cols()).
   void MaterializeRow(size_t r, Row* out) const;
 
-  /// In-memory footprint of row `r` under the row engine's accounting
-  /// (RowBytes), so both engines see the same working-set sizes.
+  /// In-memory footprint of row `r` under the boxed-row accounting
+  /// (RowBytes), so plain and oblivious runs see the same working sets.
   size_t row_bytes(size_t r) const { return row_bytes_[r]; }
   uint64_t total_row_bytes() const { return total_row_bytes_; }
 

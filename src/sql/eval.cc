@@ -64,11 +64,35 @@ Result<Value> ResolveColumn(const std::string& name, const EvalScope& scope) {
   return Status::InvalidArgument("unknown column: " + name);
 }
 
+/// Truth value of a non-NULL predicate result.
 bool IsTruthy(const Value& v) {
-  if (v.is_null()) return false;
   if (v.type() == Type::kBool) return v.AsBool();
   if (v.IsNumeric()) return v.AsDouble() != 0;
   return !v.AsString().empty();
+}
+
+/// A predicate result in three-valued logic: NULL is unknown.
+bool IsFalse(const Value& v) { return !v.is_null() && !IsTruthy(v); }
+bool IsTrue(const Value& v) { return !v.is_null() && IsTruthy(v); }
+
+/// Set-membership key. Compare-equal values share one key (INT 3 and
+/// DOUBLE 3.0, -0.0 and 0.0), mirroring Value::Compare.
+std::string MembershipKey(const Value& v) {
+  Bytes ser;
+  if (v.IsNumeric() && v.type() != Type::kDate) {
+    double d = v.AsDouble();
+    Value::Double(d == 0 ? 0.0 : d).Serialize(&ser);
+  } else {
+    v.Serialize(&ser);
+  }
+  return std::string(ser.begin(), ser.end());
+}
+
+/// Kleene AND/OR of two results already known not to decide the
+/// connective on their own: unknown if either side is, else `value`.
+Value KleeneRest(const Value& l, const Value& r, bool value) {
+  if (l.is_null() || r.is_null()) return Value::Null();
+  return Value::Bool(value);
 }
 
 Result<Value> Arith(BinOp op, const Value& l, const Value& r) {
@@ -128,22 +152,25 @@ Result<Value> Arith(BinOp op, const Value& l, const Value& r) {
 
 Result<bool> Evaluator::EvalBool(const Expr& e, const EvalScope& scope) const {
   ASSIGN_OR_RETURN(Value v, Eval(e, scope));
-  return IsTruthy(v);
+  return IsTrue(v);
 }
 
 Result<Value> Evaluator::EvalBinary(const Expr& e,
                                     const EvalScope& scope) const {
+  // Kleene logic; a definite false (AND) or true (OR) short-circuits.
   if (e.bin_op == BinOp::kAnd) {
-    ASSIGN_OR_RETURN(bool l, EvalBool(*e.left, scope));
-    if (!l) return Value::Bool(false);
-    ASSIGN_OR_RETURN(bool r, EvalBool(*e.right, scope));
-    return Value::Bool(r);
+    ASSIGN_OR_RETURN(Value l, Eval(*e.left, scope));
+    if (IsFalse(l)) return Value::Bool(false);
+    ASSIGN_OR_RETURN(Value r, Eval(*e.right, scope));
+    if (IsFalse(r)) return Value::Bool(false);
+    return KleeneRest(l, r, true);
   }
   if (e.bin_op == BinOp::kOr) {
-    ASSIGN_OR_RETURN(bool l, EvalBool(*e.left, scope));
-    if (l) return Value::Bool(true);
-    ASSIGN_OR_RETURN(bool r, EvalBool(*e.right, scope));
-    return Value::Bool(r);
+    ASSIGN_OR_RETURN(Value l, Eval(*e.left, scope));
+    if (IsTrue(l)) return Value::Bool(true);
+    ASSIGN_OR_RETURN(Value r, Eval(*e.right, scope));
+    if (IsTrue(r)) return Value::Bool(true);
+    return KleeneRest(l, r, false);
   }
 
   ASSIGN_OR_RETURN(Value l, Eval(*e.left, scope));
@@ -156,7 +183,7 @@ Result<Value> Evaluator::EvalBinary(const Expr& e,
     case BinOp::kLe:
     case BinOp::kGt:
     case BinOp::kGe: {
-      if (l.is_null() || r.is_null()) return Value::Bool(false);
+      if (l.is_null() || r.is_null()) return Value::Null();
       int c = l.Compare(r);
       switch (e.bin_op) {
         case BinOp::kEq: return Value::Bool(c == 0);
@@ -290,42 +317,43 @@ Result<Value> Evaluator::EvalSubqueryExpr(const Expr& e,
       return Value::Bool(e.negated ? result.rows.empty()
                                    : !result.rows.empty());
     case ExprKind::kInSubquery: {
+      // x IN (empty) is false even for a NULL x; otherwise a NULL needle,
+      // or a miss against a set holding NULL, is unknown.
+      if (result.rows.empty()) return Value::Bool(e.negated);
       ASSIGN_OR_RETURN(Value needle, Eval(*e.left, scope));
-      if (needle.is_null()) return Value::Bool(false);
+      if (needle.is_null()) return Value::Null();
+      auto miss = [&](bool set_has_null) {
+        return set_has_null ? Value::Null() : Value::Bool(e.negated);
+      };
       // For uncorrelated subqueries, build the membership set once.
       if (subqueries_->IsCached(*e.subquery)) {
         auto [it, inserted] = in_sets_.try_emplace(&e);
+        InSet& set = it->second;
         if (inserted) {
           for (const Row& row : result.rows) {
-            if (row.empty() || row[0].is_null()) continue;
-            Bytes ser;
-            // Normalize through double so INT/DOUBLE compare-equal values
-            // land in the same bucket (mirrors Value::Compare).
-            if (row[0].IsNumeric() && row[0].type() != Type::kDate) {
-              Value::Double(row[0].AsDouble()).Serialize(&ser);
-            } else {
-              row[0].Serialize(&ser);
+            if (row.empty()) continue;
+            if (row[0].is_null()) {
+              set.has_null = true;
+              continue;
             }
-            it->second.insert(std::string(ser.begin(), ser.end()));
+            set.values.insert(MembershipKey(row[0]));
           }
         }
-        Bytes key;
-        if (needle.IsNumeric() && needle.type() != Type::kDate) {
-          Value::Double(needle.AsDouble()).Serialize(&key);
-        } else {
-          needle.Serialize(&key);
+        if (set.values.count(MembershipKey(needle)) > 0) {
+          return Value::Bool(!e.negated);
         }
-        bool found = it->second.count(std::string(key.begin(), key.end())) > 0;
-        return Value::Bool(e.negated ? !found : found);
+        return miss(set.has_null);
       }
-      bool found = false;
+      bool has_null = false;
       for (const Row& row : result.rows) {
-        if (!row.empty() && !row[0].is_null() && needle.Compare(row[0]) == 0) {
-          found = true;
-          break;
+        if (row.empty()) continue;
+        if (row[0].is_null()) {
+          has_null = true;
+        } else if (needle.Compare(row[0]) == 0) {
+          return Value::Bool(!e.negated);
         }
       }
-      return Value::Bool(e.negated ? !found : found);
+      return miss(has_null);
     }
     default:
       return Status::Internal("not a subquery expression");
@@ -342,8 +370,9 @@ Result<Value> Evaluator::Eval(const Expr& e, const EvalScope& scope) const {
       return Status::InvalidArgument("* is only valid in SELECT lists");
     case ExprKind::kUnary: {
       if (e.un_op == UnOp::kNot) {
-        ASSIGN_OR_RETURN(bool v, EvalBool(*e.left, scope));
-        return Value::Bool(!v);
+        ASSIGN_OR_RETURN(Value v, Eval(*e.left, scope));
+        if (v.is_null()) return Value::Null();
+        return Value::Bool(!IsTruthy(v));
       }
       ASSIGN_OR_RETURN(Value v, Eval(*e.left, scope));
       if (v.is_null()) return Value::Null();
@@ -368,28 +397,33 @@ Result<Value> Evaluator::Eval(const Expr& e, const EvalScope& scope) const {
     }
     case ExprKind::kInList: {
       ASSIGN_OR_RETURN(Value needle, Eval(*e.left, scope));
-      if (needle.is_null()) return Value::Bool(false);
+      if (needle.is_null()) return Value::Null();
+      bool has_null = false;
       for (const auto& item : e.args) {
         ASSIGN_OR_RETURN(Value v, Eval(*item, scope));
-        if (!v.is_null() && needle.Compare(v) == 0) {
+        if (v.is_null()) {
+          has_null = true;
+        } else if (needle.Compare(v) == 0) {
           return Value::Bool(!e.negated);
         }
       }
-      return Value::Bool(e.negated);
+      return has_null ? Value::Null() : Value::Bool(e.negated);
     }
     case ExprKind::kBetween: {
+      // v >= lo AND v <= hi, in Kleene logic.
       ASSIGN_OR_RETURN(Value v, Eval(*e.left, scope));
       ASSIGN_OR_RETURN(Value lo, Eval(*e.args[0], scope));
       ASSIGN_OR_RETURN(Value hi, Eval(*e.args[1], scope));
-      if (v.is_null() || lo.is_null() || hi.is_null()) {
-        return Value::Bool(false);
-      }
-      return Value::Bool(v.Compare(lo) >= 0 && v.Compare(hi) <= 0);
+      if (v.is_null()) return Value::Null();
+      Value ge = lo.is_null() ? Value::Null() : Value::Bool(v.Compare(lo) >= 0);
+      Value le = hi.is_null() ? Value::Null() : Value::Bool(v.Compare(hi) <= 0);
+      if (IsFalse(ge) || IsFalse(le)) return Value::Bool(false);
+      return KleeneRest(ge, le, true);
     }
     case ExprKind::kLike: {
       ASSIGN_OR_RETURN(Value v, Eval(*e.left, scope));
       ASSIGN_OR_RETURN(Value p, Eval(*e.args[0], scope));
-      if (v.is_null() || p.is_null()) return Value::Bool(false);
+      if (v.is_null() || p.is_null()) return Value::Null();
       bool m = LikeMatch(v.AsString(), p.AsString());
       return Value::Bool(e.negated ? !m : m);
     }

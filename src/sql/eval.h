@@ -47,10 +47,11 @@ class SubqueryRunner {
   }
 };
 
-/// Evaluates expressions against rows. NULL semantics are simplified
-/// two-valued logic: any comparison involving NULL is false, and NULL
-/// never equals NULL except under IS NULL. (TPC-H data contains no NULLs;
-/// the GDPR rewriting layer relies only on IS NULL behaviour.)
+/// Evaluates expressions against rows in SQL's three-valued logic:
+/// comparisons, BETWEEN, LIKE and [NOT] IN yield NULL (unknown) when an
+/// operand is NULL, AND/OR/NOT follow Kleene logic, and only a filter
+/// (EvalBool) maps unknown to false. So `NOT (a > 2)` drops rows whose
+/// `a` is NULL, as SQL requires.
 class Evaluator {
  public:
   explicit Evaluator(SubqueryRunner* subqueries = nullptr)
@@ -58,7 +59,7 @@ class Evaluator {
 
   Result<Value> Eval(const Expr& e, const EvalScope& scope) const;
 
-  /// Evaluates an expression as a predicate (NULL -> false).
+  /// Evaluates an expression as a filter predicate (unknown -> false).
   Result<bool> EvalBool(const Expr& e, const EvalScope& scope) const;
 
  private:
@@ -67,9 +68,13 @@ class Evaluator {
   Result<Value> EvalSubqueryExpr(const Expr& e, const EvalScope& scope) const;
 
   SubqueryRunner* subqueries_;
-  /// Membership sets for cached (uncorrelated) IN-subqueries, keyed by
-  /// the expression node. Values are serialized first-column values.
-  mutable std::map<const Expr*, std::set<std::string>> in_sets_;
+  /// Membership set of a cached (uncorrelated) IN-subquery: serialized
+  /// first-column values, plus whether the column held a NULL.
+  struct InSet {
+    std::set<std::string> values;
+    bool has_null = false;
+  };
+  mutable std::map<const Expr*, InSet> in_sets_;
 };
 
 /// SQL LIKE with % and _ wildcards.

@@ -1,8 +1,7 @@
 #include "sql/exec_internal.h"
 
-#include <cstring>
-
 #include "common/thread_pool.h"
+#include "sql/vector_kernels.h"
 
 namespace ironsafe::sql::exec {
 
@@ -191,16 +190,32 @@ Bytes KeyOf(const std::vector<Value>& values) {
   for (const Value& v : values) {
     // Normalize numerics so INT 3 and DOUBLE 3.0 group/join together.
     if (v.IsNumeric() && v.type() != Type::kDate) {
-      key.push_back(1);
-      double d = v.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      PutU64(&key, bits);
+      vec::AppendKeyF64(&key, v.AsDouble());
     } else {
       v.Serialize(&key);
     }
   }
   return key;
+}
+
+Result<QueryResult> ExecuteSelectWithoutFrom(Database* db,
+                                             const SelectStmt& stmt,
+                                             const EvalScope* outer,
+                                             sim::CostModel* cost,
+                                             const ExecOptions& opts) {
+  ExecSubqueryRunner runner(db, cost, opts);
+  Evaluator eval(&runner);
+  QueryResult result;
+  EvalScope scope{nullptr, nullptr, outer};
+  Row row;
+  for (const SelectItem& item : stmt.items) {
+    ASSIGN_OR_RETURN(Value v, eval.Eval(*item.expr, scope));
+    result.schema.AddColumn(Column{
+        item.alias.empty() ? item.expr->ToString() : item.alias, v.type()});
+    row.push_back(std::move(v));
+  }
+  result.rows.push_back(std::move(row));
+  return result;
 }
 
 int PlanWorkers(const Ctx& ctx, uint64_t work, uint64_t min_per_worker) {

@@ -13,23 +13,11 @@
 #include "sql/executor.h"
 #include "sql/schema.h"
 
-/// Internals shared by the two execution engines (row-at-a-time volcano
-/// in executor.cc, batch-at-a-time columnar in vector_executor.cc).
-/// Everything here is engine-neutral: conjunct analysis, expression
-/// rewriting, key normalization, cost-charging context and stage spans.
-/// Not part of the public sql API.
+/// Internals shared by the batch-at-a-time columnar engine
+/// (vector_executor.cc) and the oblivious mode (oblivious_executor.cc):
+/// conjunct analysis, expression rewriting, key normalization,
+/// cost-charging context and stage spans. Not part of the public sql API.
 namespace ironsafe::sql::exec {
-
-// Per-row work constants (cycles) of the row engine; relative magnitudes
-// matter, not the absolute values — they seed the simulated CPU cost of
-// operators.
-constexpr uint64_t kScanRowCycles = 180;
-constexpr uint64_t kFilterCycles = 80;
-constexpr uint64_t kJoinBuildCycles = 180;
-constexpr uint64_t kJoinProbeCycles = 220;
-constexpr uint64_t kAggUpdateCycles = 200;
-constexpr uint64_t kSortCmpCycles = 90;
-constexpr uint64_t kProjectCycles = 120;
 
 // Fan-out floors: below these per-worker shares, morsel overhead beats
 // the parallel win, so the planner shrinks the worker count. Partition
@@ -39,7 +27,7 @@ constexpr uint64_t kMinScanUnitsPerWorker = 2;
 constexpr uint64_t kMinJoinRowsPerWorker = 512;
 
 // Per-row / per-exchange constants of the oblivious mode
-// (oblivious_executor.cc, docs/OBLIVIOUS.md). They sit above the row
+// (oblivious_executor.cc, docs/OBLIVIOUS.md). They sit above the plain
 // engine's constants because every oblivious step also maintains
 // validity flags and staging copies; the real overhead, though, comes
 // from the shape-only bounds: full scans with no pushdown, padded
@@ -207,7 +195,9 @@ Type InferType(const Expr& e, const Schema& schema);
 
 /// Normalized grouping/join key: numerics (except dates) collapse to the
 /// double bit pattern so INT 3 and DOUBLE 3.0 group/join together;
-/// everything else uses Value::Serialize.
+/// everything else uses Value::Serialize. NULL encodes as a value, so
+/// GROUP BY and DISTINCT put NULLs together; equi-joins must drop
+/// NULL-keyed rows themselves (SQL: NULL = NULL is unknown).
 Bytes KeyOf(const std::vector<Value>& values);
 
 /// Number of workers for a parallelizable stage of `work` units. The
@@ -218,12 +208,14 @@ int PlanWorkers(const Ctx& ctx, uint64_t work, uint64_t min_per_worker);
 
 // ---- Engine entry points ----
 
-/// The legacy row-at-a-time volcano engine (executor.cc).
-Result<QueryResult> ExecuteSelectRow(Database* db, const SelectStmt& stmt,
-                                     const EvalScope* outer,
-                                     sim::CostModel* cost,
-                                     const ExecOptions& opts,
-                                     ExecStats* stats);
+/// SELECT without FROM: evaluates the items once against the outer
+/// scope. Touches no storage, so the plain and oblivious pipelines share
+/// it. The other entry points require a non-empty FROM.
+Result<QueryResult> ExecuteSelectWithoutFrom(Database* db,
+                                             const SelectStmt& stmt,
+                                             const EvalScope* outer,
+                                             sim::CostModel* cost,
+                                             const ExecOptions& opts);
 
 /// The batch-at-a-time columnar engine (vector_executor.cc).
 Result<QueryResult> ExecuteSelectVectorized(Database* db,
@@ -234,10 +226,7 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
                                             ExecStats* stats);
 
 /// The oblivious mode (oblivious_executor.cc): one dummy-padded pipeline
-/// entered for either value of opts.engine — the engine only selects the
-/// scan decode path (row cursor vs batch decode), which reads the same
-/// pages and charges the same constants, so the two variants are
-/// bit-identical in rows, stats, cost and access trace.
+/// whose access trace and cost depend only on input shapes.
 Result<QueryResult> ExecuteSelectOblivious(Database* db,
                                            const SelectStmt& stmt,
                                            const EvalScope* outer,

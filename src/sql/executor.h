@@ -12,19 +12,6 @@ namespace ironsafe::sql {
 
 class Database;
 
-/// Which execution engine runs the SELECT pipeline.
-///  - kVectorized (default): batch-at-a-time columnar execution — pages
-///    are decoded once into ~2K-row ColumnBatches, predicates narrow
-///    selection vectors instead of materializing rows, and tight typed
-///    kernels handle filter/join-key/aggregate/project work.
-///  - kRow: the legacy row-at-a-time volcano engine, kept for result
-///    parity testing and as the perf baseline in the benches.
-/// Both engines return identical rows, stats and traces for the same
-/// query; their simulated cost accounts differ (the vectorized engine
-/// charges cheaper per-row constants, see docs/COST_MODEL.md) but each
-/// is bit-identical across real worker counts.
-enum class ExecEngine { kVectorized, kRow };
-
 /// Execution knobs. `site` decides which simulated CPU is charged for
 /// operator work; `memory_cap_bytes` models the storage server's memory
 /// limit (paper Figure 11) — working sets beyond it pay spill I/O;
@@ -43,7 +30,6 @@ struct ExecOptions {
   /// when none is installed). Scalar/correlated subqueries run with this
   /// off — they re-execute per outer row and would flood the trace.
   bool trace = true;
-  ExecEngine engine = ExecEngine::kVectorized;
   /// Opt-in oblivious execution (docs/OBLIVIOUS.md): scans read every
   /// page/batch of each base table in order with no pushdown, filters
   /// flip validity flags instead of dropping rows, sorts run on a
@@ -51,8 +37,7 @@ struct ExecOptions {
   /// inputs, so the page/batch access sequence and every cost charge
   /// depend only on input shapes (row counts, schema, join-key
   /// multiplicity structure) — never on filter predicates or non-key
-  /// values. Composes with `engine`: both scan decode paths feed one
-  /// padded pipeline and return bit-identical rows, stats and cost.
+  /// values.
   bool oblivious = false;
 };
 
@@ -68,9 +53,14 @@ struct ExecStats {
 
 /// Executes a SELECT against `db`. `outer` is the correlation scope for
 /// subqueries (null at top level). Work is charged to `cost` per the
-/// options. The pipeline: scan+pushed filters -> joins (hash when an
-/// equi-predicate exists, else nested loop) -> residual predicates ->
-/// aggregation -> HAVING -> projection -> DISTINCT -> ORDER BY -> LIMIT.
+/// options. The engine is batch-at-a-time and columnar: pages decode
+/// once into ~2K-row ColumnBatches, predicates narrow selection vectors
+/// instead of materializing rows, and typed kernels handle
+/// filter/join-key/aggregate/project work. The pipeline: scan+pushed
+/// filters -> joins (hash when an equi-predicate exists, else nested
+/// loop) -> residual predicates -> aggregation -> HAVING -> projection ->
+/// DISTINCT -> ORDER BY -> LIMIT. Rows, stats and simulated cost are
+/// bit-identical across real worker counts.
 Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt,
                                   const EvalScope* outer,
                                   sim::CostModel* cost,

@@ -15,11 +15,8 @@
 #include "sql/exec_internal.h"
 #include "sql/oblivious_kernels.h"
 
-/// The oblivious execution mode (docs/OBLIVIOUS.md). One dummy-padded
-/// pipeline serves both ExecEngine settings: the engine only selects the
-/// scan decode path (row cursor vs batch decode), which touches the same
-/// pages in the same order and charges the same constants, so the two
-/// variants return bit-identical rows, stats, cost and access traces.
+/// The oblivious execution mode (docs/OBLIVIOUS.md): one dummy-padded
+/// pipeline next to the plain vectorized engine.
 ///
 /// Obliviousness invariants, enforced at the page/batch/operator-event
 /// granularity the access-trace harness observes (tests/oblivious_test.cc):
@@ -103,11 +100,9 @@ struct OblScanSlice {
 /// table order regardless of values. Workers scan contiguous unit
 /// ranges against private cost/access slices which merge in worker
 /// order, so rows, charges and the unit-read event sequence are
-/// identical for every real worker count. The decode path follows
-/// opts.engine (cursor vs batch), but both read the same pages and
-/// charge the same flat constant per row — the `cached` decode discount
-/// is deliberately not taken, so cost stays engine- and
-/// history-independent.
+/// identical for every real worker count. Every row is charged the same
+/// flat constant — the `cached` decode discount is deliberately not
+/// taken, so cost stays history-independent.
 Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
   uint64_t units = table->morsel_units();
   if (units == 0) {
@@ -130,8 +125,6 @@ Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
   std::vector<OblScanSlice> slices(workers);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(workers);
-  const size_t num_cols = rel->schema.size();
-  const bool batch_decode = ctx->opts.engine == ExecEngine::kVectorized;
   const bool record = ctx->access != nullptr;
   obs::Tracer* tracer = ctx->traced ? obs::CurrentTracer() : nullptr;
   for (int w = 0; w < workers; ++w) {
@@ -141,40 +134,22 @@ Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
     slice->unit_begin = begin;
     slice->unit_end = end;
     if (ctx->cost != nullptr) slice->cost.emplace(ctx->cost->profile());
-    tasks.push_back([table, num_cols, batch_decode, record, begin, end, slice,
-                     tracer] {
+    tasks.push_back([table, record, begin, end, slice, tracer] {
       if (tracer != nullptr) slice->wall_start_us = tracer->WallNowUs();
       sim::CostModel* wcost = slice->cost ? &*slice->cost : nullptr;
       [&] {
         Row row;
         for (uint64_t unit = begin; unit < end; ++unit) {
-          uint64_t unit_rows = 0;
-          if (batch_decode) {
-            Result<DecodedMorsel> decoded = table->DecodeMorselBatch(unit, wcost);
-            if (!decoded.ok()) {
-              slice->status = decoded.status();
-              return;
-            }
-            const auto& batch = decoded->batch;
-            size_t n = batch == nullptr ? 0 : batch->rows();
-            for (size_t i = 0; i < n; ++i) {
-              batch->MaterializeRow(i, &row);
-              slice->rows.push_back(row);
-            }
-            unit_rows = n;
-            (void)num_cols;
-          } else {
-            auto cursor = table->NewMorselCursor(unit, unit + 1, wcost);
-            while (true) {
-              Result<bool> more = cursor->Next(&row);
-              if (!more.ok()) {
-                slice->status = more.status();
-                return;
-              }
-              if (!*more) break;
-              ++unit_rows;
-              slice->rows.push_back(std::move(row));
-            }
+          Result<DecodedMorsel> decoded = table->DecodeMorselBatch(unit, wcost);
+          if (!decoded.ok()) {
+            slice->status = decoded.status();
+            return;
+          }
+          const auto& batch = decoded->batch;
+          const uint64_t unit_rows = batch == nullptr ? 0 : batch->rows();
+          for (size_t i = 0; i < unit_rows; ++i) {
+            batch->MaterializeRow(i, &row);
+            slice->rows.push_back(row);
           }
           slice->rows_scanned += unit_rows;
           slice->cycles += unit_rows * kOblScanRowCycles;
@@ -253,7 +228,7 @@ Result<ORel> ScanRelationOblivious(Ctx* ctx, const TableRef& ref,
   if (ref.subquery) {
     // Derived table: the subquery's *padded* relation flows through —
     // its width is shape-derived, so the outer pipeline never sees the
-    // (value-dependent) compacted row count. As in the plain engines,
+    // (value-dependent) compacted row count. As in the plain engine,
     // the inner pipeline charges the shared cost model but not the
     // outer ExecStats; the derived relation's valid rows count as
     // scanned.
@@ -274,7 +249,7 @@ Result<ORel> ScanRelationOblivious(Ctx* ctx, const TableRef& ref,
     RETURN_IF_ERROR(ScanTableOblivious(ctx, t, &rel));
   }
 
-  // The conjuncts the plain engines push into the scan are applied here
+  // The conjuncts the plain engine pushes into the scan are applied here
   // as a validity mask instead — same consumption bookkeeping, but the
   // fetch above never depended on them.
   std::vector<const Expr*> filters;
@@ -320,6 +295,9 @@ int CompareJoinItems(const JoinItem& a, const JoinItem& b) {
 /// Evaluates the equi-key expressions for every row of `rel` — valid
 /// and invalid alike — into sortable items. Key expressions are
 /// subquery-free by construction, so a runner-less evaluator suffices.
+/// A row with a NULL key component can never match (NULL = x is
+/// unknown): it keeps its place in the sort and merge, but its validity
+/// flag is cleared branch-free.
 Result<std::vector<JoinItem>> ComputeJoinItems(
     Ctx* ctx, const ORel& rel, const std::vector<const Expr*>& exprs) {
   std::vector<JoinItem> items(rel.rows.size());
@@ -330,15 +308,17 @@ Result<std::vector<JoinItem>> ComputeJoinItems(
     EvalScope scope{&rel.schema, &rel.rows[i], ctx->outer};
     kv.clear();
     kv.reserve(exprs.size());
+    uint8_t null_key = 0;
     for (const Expr* e : exprs) {
       ASSIGN_OR_RETURN(Value v, eval.Eval(*e, scope));
+      null_key = static_cast<uint8_t>(null_key | uint8_t{v.is_null()});
       kv.push_back(std::move(v));
     }
     Bytes key = KeyOf(kv);
     items[i].key.assign(key.begin(), key.end());
     items[i].seq = i;
     items[i].pad = 0;
-    items[i].valid = rel.valid[i];
+    items[i].valid = static_cast<uint8_t>(rel.valid[i] & (null_key ^ 1u));
     items[i].row = rel.rows[i];
   }
   return items;
@@ -599,7 +579,7 @@ int CompareAggItems(const AggItem& a, const AggItem& b) {
 /// and emits each group's result at its last position. The output is
 /// padded to the worst-case bound — one group per input row — with
 /// null-filled dummy rows for the slack; compacting the valid rows
-/// yields exactly the plain engines' map-ordered output. A global
+/// yields exactly the plain engine's map-ordered output. A global
 /// aggregate (no GROUP BY) has the public output width 1 and needs no
 /// sort.
 Result<ORel> AggregateOblivious(Ctx* ctx, ORel input, const SelectStmt& stmt,
@@ -621,7 +601,7 @@ Result<ORel> AggregateOblivious(Ctx* ctx, ORel input, const SelectStmt& stmt,
 
   if (group_exprs.empty()) {
     // Global aggregate: one output row always exists, even over zero
-    // valid inputs (matching the plain engines' empty-group special
+    // valid inputs (matching the plain engine's empty-group special
     // case).
     std::vector<AggState> states(aggs.size());
     for (size_t i = 0; i < n; ++i) {
@@ -705,6 +685,13 @@ Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
                                    sim::CostModel* cost,
                                    const ExecOptions& opts,
                                    ExecStats* stats) {
+  if (stmt.from.empty()) {
+    // A FROM-less derived table: one valid row, no storage touched, so
+    // the scalar evaluation is trivially oblivious.
+    ASSIGN_OR_RETURN(QueryResult scalar,
+                     ExecuteSelectWithoutFrom(db, stmt, outer, cost, opts));
+    return ORel{std::move(scalar.schema), std::move(scalar.rows), {1}};
+  }
   Ctx ctx;
   ctx.db = db;
   ctx.cost = cost;
@@ -811,7 +798,7 @@ Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
   // 5. Projection over every row, dummies included (dummy rows carry
   //    well-typed data — real tuples or nulls — so item expressions
   //    evaluate uniformly). Hidden ORDER BY keys ride along as in the
-  //    plain engines.
+  //    plain engine.
   ORel projected;
   std::vector<std::vector<Value>> hidden_keys;
   std::vector<bool> order_from_input(order_by.size(), false);
@@ -898,7 +885,9 @@ Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
 
     if (stmt.distinct) {
       // Sort by the visible row so duplicates are adjacent, then mask
-      // every valid repeat; the first of each run (lowest seq) wins.
+      // every valid repeat; the first of each run (lowest seq) wins. A
+      // repeat compares against its predecessor's validity from before
+      // this pass, so every later member of a run is masked too.
       auto cmp = [](const OutItem& a, const OutItem& b) {
         if (a.pad != b.pad) return a.pad < b.pad ? -1 : 1;
         if (a.valid != b.valid) return a.valid > b.valid ? -1 : 1;
@@ -907,9 +896,12 @@ Result<ORel> ExecutePaddedPipeline(Database* db, const SelectStmt& stmt,
         return CompareU64(a.seq, b.seq);
       };
       SortNetwork(&ctx, &bundle, cmp);
+      uint8_t prev_valid = 0;
       for (size_t i = 0; i < bundle.size(); ++i) {
-        bool dup = bundle[i].valid != 0 && i > 0 && bundle[i - 1].valid != 0 &&
+        const uint8_t valid = bundle[i].valid;
+        bool dup = valid != 0 && prev_valid != 0 &&
                    bundle[i - 1].dedupe_key == bundle[i].dedupe_key;
+        prev_valid = valid;
         if (dup) bundle[i].valid = 0;
       }
       ctx.RecordAccess(obs::AccessKind::kDistinct, bundle.size(),
@@ -972,11 +964,6 @@ Result<QueryResult> ExecuteSelectOblivious(Database* db,
                                            sim::CostModel* cost,
                                            const ExecOptions& opts,
                                            ExecStats* stats) {
-  if (stmt.from.empty()) {
-    // SELECT without FROM touches no storage; the row engine's scalar
-    // path is trivially oblivious.
-    return ExecuteSelectRow(db, stmt, outer, cost, opts, stats);
-  }
   ASSIGN_OR_RETURN(ORel padded, ExecutePaddedPipeline(db, stmt, outer, cost,
                                                       opts, stats));
   // Declassification: compact the valid rows, in padded order. The

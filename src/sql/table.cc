@@ -225,7 +225,7 @@ Result<DecodedMorsel> PagedTable::DecodeMorselBatch(
     uint64_t id = page_ids_[unit];
     // The page read always happens first: decoded-batch hits must leave
     // the encoded page cache, its counters and every security charge
-    // exactly as a row-engine scan of the same unit would.
+    // exactly as a fresh decode of the same unit would.
     ASSIGN_OR_RETURN(Bytes page, store_->ReadPage(id, cost));
     if (auto cached = store_->CachedBatch(id); cached != nullptr) {
       return DecodedMorsel{std::move(cached), true};

@@ -40,15 +40,15 @@ struct VecCol {
 };
 
 /// Appends the executor's normalized grouping/join key encoding of the
-/// value at selection position `i` of `c` — byte-identical to the row
-/// engine's KeyOf, so hash tables built by either engine agree.
+/// value at selection position `i` of `c` — byte-identical to KeyOf, so
+/// the plain hash join and the oblivious sort-merge join agree on keys.
 void AppendNormalizedKey(const VecCol& c, size_t i, Bytes* key);
 
 /// Batch-at-a-time expression evaluation. Predicates with a proven
 /// uniform-typed shape (non-null single-type column vs literal) run as
 /// tight kernels over the raw payload arrays; everything else falls back
 /// to the scalar Evaluator row by row against a scratch row, so results
-/// and error behaviour match the row engine exactly. The fallback is
+/// and error behaviour match the scalar Evaluator exactly. The fallback is
 /// what makes the fast paths safe to grow incrementally.
 class VectorEvaluator {
  public:

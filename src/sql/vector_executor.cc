@@ -12,17 +12,19 @@
 #include "sql/exec_internal.h"
 #include "sql/vector_eval.h"
 
-namespace ironsafe::sql::exec {
+namespace ironsafe::sql {
+
+namespace exec {
 
 namespace {
 
-// Per-active-row work constants (cycles) of the vectorized engine. They
-// are deliberately cheaper than the row engine's: a batch kernel touches
-// a dense payload array instead of boxing every cell, so the simulated
-// CPU prices the same logical work lower. Per-batch overhead covers the
-// kernel dispatch and selection-vector bookkeeping. The charges are flat
-// per active row regardless of whether a kernel or the scalar fallback
-// ran, keeping cost totals independent of fast-path coverage.
+// Per-active-row work constants (cycles) of the plain engine; relative
+// magnitudes matter, not the absolute values. A batch kernel touches a
+// dense payload array instead of boxing every cell, so the per-row
+// prices are low. Per-batch overhead covers the kernel dispatch and
+// selection-vector bookkeeping. The charges are flat per active row
+// regardless of whether a kernel or the scalar fallback ran, keeping
+// cost totals independent of fast-path coverage.
 constexpr uint64_t kVecDecodeRowCycles = 60;        ///< fresh page decode
 constexpr uint64_t kVecDecodeCachedRowCycles = 10;  ///< decoded-batch hit
 constexpr uint64_t kVecFilterRowCycles = 24;
@@ -32,6 +34,7 @@ constexpr uint64_t kVecAggRowCycles = 70;
 constexpr uint64_t kVecProjectRowCycles = 40;
 constexpr uint64_t kVecGatherRowCycles = 12;  ///< per materialized row
 constexpr uint64_t kVecBatchCycles = 256;     ///< per batch per operator pass
+constexpr uint64_t kSortCmpCycles = 90;       ///< per ORDER BY comparison
 
 SelVec FullSel(size_t n) {
   SelVec sel(n);
@@ -50,8 +53,8 @@ struct VecRel {
     for (const VecBatch& b : batches) n += b.active();
     return n;
   }
-  /// Working-set bytes of the active rows under the row engine's
-  /// accounting (RowBytes), so spill/EPC behaviour matches it exactly.
+  /// Working-set bytes of the active rows under the boxed-row
+  /// accounting (RowBytes), the same figure the oblivious mode tracks.
   uint64_t ActiveBytes() const {
     uint64_t total = 0;
     for (const VecBatch& b : batches) {
@@ -271,9 +274,11 @@ struct EquiKey {
 };
 
 /// Normalized join keys of every active row of `rel`, one string per
-/// active row in batch order. Batches are partitioned contiguously
-/// across workers; key expressions are subquery-free, so workers use
-/// private runner-less evaluators and write disjoint output slots.
+/// active row in batch order; a row with any NULL key component gets the
+/// empty string, which no join matches (NULL = x is unknown). Batches
+/// are partitioned contiguously across workers; key expressions are
+/// subquery-free, so workers use private runner-less evaluators and
+/// write disjoint output slots.
 Result<std::vector<std::vector<std::string>>> ComputeBatchKeys(
     Ctx* ctx, const VecRel& rel, const std::vector<const Expr*>& exprs,
     uint64_t per_row_cycles) {
@@ -324,7 +329,13 @@ Result<std::vector<std::vector<std::string>>> ComputeBatchKeys(
           keys.reserve(n);
           for (size_t i = 0; i < n; ++i) {
             key.clear();
-            for (const VecCol& c : cols) AppendNormalizedKey(c, i, &key);
+            bool null_key = false;
+            for (const VecCol& c : cols) {
+              null_key = null_key || (c.kind == VecCol::Kind::kGeneric &&
+                                      c.vals[i].is_null());
+              AppendNormalizedKey(c, i, &key);
+            }
+            if (null_key) key.clear();
             keys.emplace_back(key.begin(), key.end());
           }
         }
@@ -448,6 +459,8 @@ Result<VecRel> JoinRelationsVec(Ctx* ctx, VecRel left, VecRel right,
     for (size_t bi = 0; bi < build.batches.size(); ++bi) {
       const VecBatch& b = build.batches[bi];
       for (size_t i = 0; i < b.active(); ++i) {
+        // NULL-keyed rows stay out of the table, so they match nothing.
+        if (build_keys[bi][i].empty()) continue;
         Row r;
         b.batch->MaterializeRow(b.sel[i], &r);
         table[build_keys[bi][i]].push_back(build_rows.size());
@@ -703,20 +716,6 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
       opts.trace && cost != nullptr && obs::CurrentTracer() != nullptr;
   ctx.access = opts.trace ? obs::CurrentAccessLog() : nullptr;
 
-  if (stmt.from.empty()) {
-    QueryResult result;
-    EvalScope scope{nullptr, nullptr, outer};
-    Row row;
-    for (const SelectItem& item : stmt.items) {
-      ASSIGN_OR_RETURN(Value v, ctx.eval->Eval(*item.expr, scope));
-      result.schema.AddColumn(Column{
-          item.alias.empty() ? item.expr->ToString() : item.alias, v.type()});
-      row.push_back(std::move(v));
-    }
-    result.rows.push_back(std::move(row));
-    return result;
-  }
-
   StageSpan select_span(&ctx, "select");
   ctx.RecordAccess(obs::AccessKind::kQueryBegin, 0);
 
@@ -831,7 +830,7 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
 
   // 5. Projection: items evaluate batch-at-a-time into typed columns,
   //    then materialize into the result rows (hidden ORDER BY keys
-  //    alongside, as in the row engine).
+  //    that read input-schema columns alongside).
   QueryResult result;
   std::vector<bool> order_from_input(order_by.size(), false);
   std::vector<std::vector<Value>> hidden_keys;
@@ -930,8 +929,7 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
     hidden_keys = std::move(kept_hidden);
   }
 
-  // 7. ORDER BY (same scalar sort as the row engine — sorting is not a
-  //    batch operation and its cost constant is shared).
+  // 7. ORDER BY (a scalar sort — sorting is not a batch operation).
   if (!order_by.empty()) {
     StageSpan sort_span(&ctx, "sort");
     sort_span.Tag("rows", static_cast<int64_t>(result.rows.size()));
@@ -991,4 +989,18 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
   return result;
 }
 
-}  // namespace ironsafe::sql::exec
+}  // namespace exec
+
+Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt,
+                                  const EvalScope* outer, sim::CostModel* cost,
+                                  const ExecOptions& opts, ExecStats* stats) {
+  if (stmt.from.empty()) {
+    return exec::ExecuteSelectWithoutFrom(db, stmt, outer, cost, opts);
+  }
+  if (opts.oblivious) {
+    return exec::ExecuteSelectOblivious(db, stmt, outer, cost, opts, stats);
+  }
+  return exec::ExecuteSelectVectorized(db, stmt, outer, cost, opts, stats);
+}
+
+}  // namespace ironsafe::sql

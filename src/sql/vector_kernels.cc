@@ -199,7 +199,8 @@ void ArithF64Cols(const int64_t* a_bits, ArithOp op, const int64_t* b_bits,
 
 void AppendKeyF64(std::vector<uint8_t>* key, double v) {
   key->push_back(1);  // normalized-numeric tag
-  PutU64(key, static_cast<uint64_t>(BitsFromF64(v)));
+  // -0.0 == 0.0, so both must key (group, join, dedupe) alike.
+  PutU64(key, static_cast<uint64_t>(BitsFromF64(v == 0 ? 0.0 : v)));
 }
 
 void AppendKeyDate(std::vector<uint8_t>* key, int64_t days) {

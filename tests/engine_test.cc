@@ -161,6 +161,13 @@ class CsaSystemTest : public ::testing::Test {
                     .ok());
   }
 
+  // Runs once per derived suite (ConfigEquivalence, ParallelDeterminism
+  // and CsaSystemTest itself each set the system up again).
+  static void TearDownTestSuite() {
+    delete system_;
+    system_ = nullptr;
+  }
+
   static CsaSystem* system_;
 };
 

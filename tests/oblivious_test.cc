@@ -3,12 +3,12 @@
 // set, the access trace — operator events including every morsel-unit
 // read, plus the deterministic span signature — is bit-identical across
 // value-randomized same-shape inputs, for every oblivious operator and
-// every TPC-H query, while the plain engines' traces diverge on the same
+// every TPC-H query, while the plain engine's traces diverge on the same
 // inputs (the negative witness). The suite also pins the differential
-// contract: oblivious-row vs oblivious-vectorized are bit-identical in
-// rows, stats, cost and trace; oblivious vs plain agree on the result
-// multiset and row counts while the oblivious cost is strictly higher;
-// and all of it is invariant across 1/4/16 real workers.
+// contract: oblivious vs plain agree on the result multiset and row
+// counts while the oblivious cost is strictly higher; and all of it is
+// invariant across 1/4/16 real workers. tests/sql_oracle_test.cc checks
+// the oblivious rows against SQLite.
 
 #include <gtest/gtest.h>
 
@@ -34,18 +34,13 @@ namespace {
 
 constexpr int kSeeds = 16;  // value-randomized variants per property
 
-ExecOptions Oblivious(ExecEngine engine = ExecEngine::kVectorized) {
+ExecOptions Oblivious() {
   ExecOptions opts;
-  opts.engine = engine;
   opts.oblivious = true;
   return opts;
 }
 
-ExecOptions Plain(ExecEngine engine = ExecEngine::kVectorized) {
-  ExecOptions opts;
-  opts.engine = engine;
-  return opts;
-}
+ExecOptions Plain() { return ExecOptions{}; }
 
 /// Everything observable about one traced execution.
 struct Capture {
@@ -80,7 +75,7 @@ Capture RunTraced(Database* db, const std::string& sql,
 }
 
 /// Rows as a sorted multiset of printed tuples (the oblivious mode's
-/// emission order may legitimately differ from the plain engines' when
+/// emission order may legitimately differ from the plain engine's when
 /// no ORDER BY pins it).
 std::vector<std::string> CanonicalRows(const QueryResult& result) {
   std::vector<std::string> out;
@@ -166,7 +161,7 @@ const std::vector<std::pair<std::string, std::string>>& OperatorQueries() {
 
 // ---------------------------------------------------------------------------
 // Property: oblivious traces are bit-identical across >= 16
-// value-randomized same-shape inputs, for every operator and engine.
+// value-randomized same-shape inputs, for every operator.
 // ---------------------------------------------------------------------------
 
 TEST(ObliviousProperty, TraceEqualAcrossValueRandomizedInputs) {
@@ -188,56 +183,29 @@ TEST(ObliviousProperty, TraceEqualAcrossValueRandomizedInputs) {
   }
 }
 
-TEST(ObliviousProperty, BothEnginesProduceBitIdenticalExecutions) {
-  // The engine option only selects the scan decode path; rows, stats,
-  // cost and the full trace must not notice.
-  for (const auto& [op, sql] : OperatorQueries()) {
-    SCOPED_TRACE(op);
-    for (uint64_t seed : {0ull, 7ull}) {
-      auto db = MakeSyntheticDb(seed);
-      Capture vec = RunTraced(db.get(), sql, Oblivious(ExecEngine::kVectorized));
-      Capture row = RunTraced(db.get(), sql, Oblivious(ExecEngine::kRow));
-      EXPECT_EQ(vec.access, row.access) << op;
-      EXPECT_EQ(vec.spans, row.spans) << op;
-      EXPECT_EQ(vec.cost_ns, row.cost_ns) << op;
-      EXPECT_EQ(vec.stats, row.stats) << op;
-      ASSERT_EQ(vec.result.rows.size(), row.result.rows.size()) << op;
-      for (size_t i = 0; i < vec.result.rows.size(); ++i) {
-        for (size_t c = 0; c < vec.result.rows[i].size(); ++c) {
-          EXPECT_TRUE(vec.result.rows[i][c] == row.result.rows[i][c])
-              << op << " row " << i << " col " << c;
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Negative witness: the plain engines' traces DIVERGE across the same
+// Negative witness: the plain engine's traces DIVERGE across the same
 // value randomization — predicate pushdown, hash-join build-side choice
-// and group counts all leak into their access sequence.
+// and group counts all leak into its access sequence.
 // ---------------------------------------------------------------------------
 
 TEST(ObliviousProperty, PlainTracesDivergeAcrossValueRandomizedInputs) {
-  for (ExecEngine engine : {ExecEngine::kVectorized, ExecEngine::kRow}) {
-    SCOPED_TRACE(engine == ExecEngine::kRow ? "row" : "vectorized");
-    int diverged = 0;
-    const std::string sql = OperatorQueries()[1].second;  // filter
-    auto db0 = MakeSyntheticDb(0);
-    Capture base = RunTraced(db0.get(), sql, Plain(engine));
-    for (uint64_t seed = 1; seed < 4; ++seed) {
-      auto db = MakeSyntheticDb(seed);
-      Capture got = RunTraced(db.get(), sql, Plain(engine));
-      if (got.access != base.access) ++diverged;
-    }
-    // Selectivity differs across seeds, and the plain trace records the
-    // surviving row counts — every seed must be distinguishable.
-    EXPECT_EQ(diverged, 3);
+  int diverged = 0;
+  const std::string sql = OperatorQueries()[1].second;  // filter
+  auto db0 = MakeSyntheticDb(0);
+  Capture base = RunTraced(db0.get(), sql, Plain());
+  for (uint64_t seed = 1; seed < 4; ++seed) {
+    auto db = MakeSyntheticDb(seed);
+    Capture got = RunTraced(db.get(), sql, Plain());
+    if (got.access != base.access) ++diverged;
   }
+  // Selectivity differs across seeds, and the plain trace records the
+  // surviving row counts — every seed must be distinguishable.
+  EXPECT_EQ(diverged, 3);
 }
 
 // ---------------------------------------------------------------------------
-// Worker invariance: the oblivious trace (like the plain engines'
+// Worker invariance: the oblivious trace (like the plain engine's
 // deterministic exports) is identical for 1, 4 and 16 real workers.
 // ---------------------------------------------------------------------------
 
@@ -263,38 +231,19 @@ TEST(ObliviousProperty, TraceInvariantAcrossWorkerCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential contract vs the plain engines, over the PR 6
-// selection-vector edge cases.
+// Differential contract vs the plain engine, over the selection-vector
+// edge cases.
 // ---------------------------------------------------------------------------
 
-/// Oblivious (either engine) must agree with the plain vectorized engine
-/// on the result multiset and the row counters, and must pay at least as
-/// much simulated cost (strictly more when anything was scanned).
+/// Oblivious must agree with the plain engine on the result multiset and
+/// the row counters, and must pay at least as much simulated cost
+/// (strictly more when anything was scanned).
 void ExpectDifferentialContract(Database* db, const std::string& sql) {
-  Capture plain_vec = RunTraced(db, sql, Plain(ExecEngine::kVectorized));
-  Capture plain_row = RunTraced(db, sql, Plain(ExecEngine::kRow));
-  Capture obl_vec = RunTraced(db, sql, Oblivious(ExecEngine::kVectorized));
-  Capture obl_row = RunTraced(db, sql, Oblivious(ExecEngine::kRow));
+  Capture plain_vec = RunTraced(db, sql, Plain());
+  Capture obl_vec = RunTraced(db, sql, Oblivious());
 
-  // Plain engines agree exactly (the PR 6 contract, re-pinned here).
-  EXPECT_EQ(CanonicalRows(plain_vec.result), CanonicalRows(plain_row.result))
-      << sql;
-
-  // Oblivious x {row, vectorized} are bit-identical: same rows in the
-  // same order, same stats, same cost.
-  ASSERT_EQ(obl_vec.result.rows.size(), obl_row.result.rows.size()) << sql;
-  for (size_t i = 0; i < obl_vec.result.rows.size(); ++i) {
-    for (size_t c = 0; c < obl_vec.result.rows[i].size(); ++c) {
-      EXPECT_TRUE(obl_vec.result.rows[i][c] == obl_row.result.rows[i][c])
-          << sql << " row " << i;
-    }
-  }
-  EXPECT_EQ(obl_vec.stats, obl_row.stats) << sql;
-  EXPECT_EQ(obl_vec.cost_ns, obl_row.cost_ns) << sql;
-  EXPECT_EQ(obl_vec.access, obl_row.access) << sql;
-
-  // Oblivious vs plain: same answer (as a multiset), same row counters,
-  // strictly more simulated cost whenever anything was scanned.
+  // Same answer (as a multiset), same row counters, strictly more
+  // simulated cost whenever anything was scanned.
   EXPECT_EQ(CanonicalRows(obl_vec.result), CanonicalRows(plain_vec.result))
       << sql;
   EXPECT_EQ(obl_vec.stats.rows_scanned, plain_vec.stats.rows_scanned) << sql;
@@ -378,7 +327,7 @@ TEST(ObliviousDifferential, NullHandling) {
 
 // ---------------------------------------------------------------------------
 // TPC-H: trace equality across size-preserving value scrambles for every
-// evaluated query, differential contract against the plain engines, and
+// evaluated query, differential contract against the plain engine, and
 // the plain-engine divergence witness.
 // ---------------------------------------------------------------------------
 
@@ -490,7 +439,7 @@ TEST_F(ObliviousTpch, EnginesBitIdenticalAndPlainContractHolds) {
 
 TEST_F(ObliviousTpch, PlainTracesDivergeOnScrambledMeasures) {
   // The witness: on value-scrambled same-shape inputs the plain
-  // engines' access traces differ wherever a recorded survivor count
+  // engine's access traces differ wherever a recorded survivor count
   // depends on a scrambled column. The measure-only scramble (keys,
   // dates and strings untouched, to preserve shape) moves Q6's
   // pushdown band predicates (quantity/discount) and Q18's

@@ -1,8 +1,7 @@
-// Differential tests for the vectorized engine: the row-at-a-time and
-// batch-columnar engines must return identical schemas and rows for the
-// same statement, across the selection-vector edge cases (empty batches,
-// fully-filtered batches, batches straddling page boundaries, NULLs) and
-// the whole TPC-H query set.
+// Selection-vector edge cases of the vectorized engine: empty batches,
+// fully-filtered batches, batches straddling page boundaries, NULLs.
+// Each case pins the counts it can state exactly; tests/sql_oracle_test.cc
+// runs the same fixtures against SQLite for the full row sets.
 
 #include <gtest/gtest.h>
 
@@ -12,86 +11,48 @@
 
 #include "sql/column_batch.h"
 #include "sql/database.h"
-#include "sql/parser.h"
-#include "storage/block_device.h"
-#include "tpch/dbgen.h"
-#include "tpch/queries.h"
+#include "edge_fixtures.h"
 
 namespace ironsafe::sql {
 namespace {
 
-ExecOptions EngineOpts(ExecEngine engine) {
-  ExecOptions opts;
-  opts.engine = engine;
-  return opts;
-}
-
-/// Runs `sql` on both engines and asserts schema + row identity; returns
-/// the vectorized result for additional assertions.
-QueryResult RunBoth(Database* db, const std::string& sql) {
-  auto vec = db->Execute(sql, nullptr, EngineOpts(ExecEngine::kVectorized));
-  auto row = db->Execute(sql, nullptr, EngineOpts(ExecEngine::kRow));
-  EXPECT_TRUE(vec.ok()) << sql << " -> " << vec.status().ToString();
-  EXPECT_TRUE(row.ok()) << sql << " -> " << row.status().ToString();
-  if (!vec.ok() || !row.ok()) return QueryResult{};
-
-  EXPECT_EQ(vec->schema.size(), row->schema.size()) << sql;
-  for (size_t c = 0; c < vec->schema.size() && c < row->schema.size(); ++c) {
-    EXPECT_EQ(vec->schema.column(c).name, row->schema.column(c).name) << sql;
-  }
-  EXPECT_EQ(vec->rows.size(), row->rows.size()) << sql;
-  if (vec->rows.size() != row->rows.size()) return *vec;
-  for (size_t i = 0; i < vec->rows.size(); ++i) {
-    EXPECT_EQ(vec->rows[i].size(), row->rows[i].size()) << sql;
-    if (vec->rows[i].size() != row->rows[i].size()) return *vec;
-    for (size_t c = 0; c < vec->rows[i].size(); ++c) {
-      EXPECT_TRUE(vec->rows[i][c] == row->rows[i][c])
-          << sql << " row " << i << " col " << c << ": vectorized="
-          << vec->rows[i][c].ToString()
-          << " row-engine=" << row->rows[i][c].ToString();
-    }
-  }
-  return *vec;
+QueryResult Exec(Database* db, const std::string& sql) {
+  auto result = db->Execute(sql);
+  EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+  return result.ok() ? std::move(*result) : QueryResult{};
 }
 
 TEST(VectorExecEdge, EmptyTableProducesEmptyBatches) {
-  auto db = Database::CreateInMemory();
-  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER, b VARCHAR)").ok());
-  EXPECT_EQ(RunBoth(db.get(), "SELECT * FROM t").rows.size(), 0u);
-  EXPECT_EQ(RunBoth(db.get(), "SELECT a, b FROM t WHERE a > 3").rows.size(),
+  auto db = testing_fixtures::EmptyTable();
+  EXPECT_EQ(Exec(db.get(), "SELECT * FROM t").rows.size(), 0u);
+  EXPECT_EQ(Exec(db.get(), "SELECT a, b FROM t WHERE a > 3").rows.size(),
             0u);
   // Global aggregate over zero rows still yields exactly one row.
-  auto agg = RunBoth(db.get(), "SELECT count(*), sum(a), min(b) FROM t");
+  auto agg = Exec(db.get(), "SELECT count(*), sum(a), min(b) FROM t");
   ASSERT_EQ(agg.rows.size(), 1u);
   EXPECT_EQ(agg.rows[0][0].AsInt(), 0);
   // Grouped aggregate over zero rows yields zero groups.
-  EXPECT_EQ(RunBoth(db.get(), "SELECT b, sum(a) FROM t GROUP BY b").rows.size(),
+  EXPECT_EQ(Exec(db.get(), "SELECT b, sum(a) FROM t GROUP BY b").rows.size(),
             0u);
 }
 
 TEST(VectorExecEdge, AllRowsFilteredOut) {
-  auto db = Database::CreateInMemory();
-  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER, b VARCHAR)").ok());
-  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), "
-                          "(3, 'z')")
-                  .ok());
+  auto db = testing_fixtures::SmallTables();
   // The pushed filter empties every batch; downstream operators must
   // handle fully-dead selection vectors.
-  EXPECT_EQ(RunBoth(db.get(), "SELECT * FROM t WHERE a > 100").rows.size(),
+  EXPECT_EQ(Exec(db.get(), "SELECT * FROM t WHERE a > 100").rows.size(),
             0u);
   auto agg =
-      RunBoth(db.get(), "SELECT count(*), sum(a) FROM t WHERE a > 100");
+      Exec(db.get(), "SELECT count(*), sum(a) FROM t WHERE a > 100");
   ASSERT_EQ(agg.rows.size(), 1u);
   EXPECT_EQ(agg.rows[0][0].AsInt(), 0);
   EXPECT_EQ(
-      RunBoth(db.get(),
+      Exec(db.get(),
               "SELECT b, count(*) FROM t WHERE a > 100 GROUP BY b")
           .rows.size(),
       0u);
   // Join where one side filters to nothing.
-  ASSERT_TRUE(db->Execute("CREATE TABLE u (a INTEGER, c VARCHAR)").ok());
-  ASSERT_TRUE(db->Execute("INSERT INTO u VALUES (1, 'p'), (2, 'q')").ok());
-  EXPECT_EQ(RunBoth(db.get(),
+  EXPECT_EQ(Exec(db.get(),
                     "SELECT t.b, u.c FROM t, u WHERE t.a = u.a AND t.a > 100")
                 .rows.size(),
             0u);
@@ -101,125 +62,42 @@ TEST(VectorExecEdge, BatchStraddlingPageBoundary) {
   // Paged tables decode one page per morsel unit; with thousands of rows
   // the scan produces many partial batches whose boundaries fall inside
   // and across pages — totals and per-group counts must be unaffected.
-  storage::BlockDevice disk;
-  PlainPageStore store(&disk);
-  auto db = Database::CreatePaged(&store);
-  ASSERT_TRUE(
-      db->Execute("CREATE TABLE big (k INTEGER, grp INTEGER, v DOUBLE)")
-          .ok());
-  std::vector<Row> rows;
-  constexpr int kRows = 5000;  // > 2x ColumnBatch::kBatchRows, many pages
+  testing_fixtures::PagedBigTable fixture;
+  Database* db = fixture.db.get();
+  constexpr int kRows = testing_fixtures::PagedBigTable::kRows;
   static_assert(kRows > 2 * static_cast<int>(ColumnBatch::kBatchRows));
-  int64_t expect_sum_k = 0;
-  for (int i = 0; i < kRows; ++i) {
-    rows.push_back({Value::Int(i), Value::Int(i % 7),
-                    Value::Double(static_cast<double>(i) * 0.5)});
-    expect_sum_k += i;
-  }
-  ASSERT_TRUE(db->BulkLoad("big", rows).ok());
+  int64_t expect_sum_k = int64_t{kRows} * (kRows - 1) / 2;
 
-  auto all = RunBoth(db.get(), "SELECT count(*), sum(k) FROM big");
+  auto all = Exec(db, "SELECT count(*), sum(k) FROM big");
   ASSERT_EQ(all.rows.size(), 1u);
   EXPECT_EQ(all.rows[0][0].AsInt(), kRows);
   EXPECT_EQ(all.rows[0][1].AsInt(), expect_sum_k);
 
-  auto filtered = RunBoth(
-      db.get(), "SELECT count(*) FROM big WHERE k >= 2000 AND k < 2100");
+  auto filtered = Exec(
+      db, "SELECT count(*) FROM big WHERE k >= 2000 AND k < 2100");
   ASSERT_EQ(filtered.rows.size(), 1u);
   EXPECT_EQ(filtered.rows[0][0].AsInt(), 100);
 
-  auto grouped = RunBoth(
-      db.get(),
+  auto grouped = Exec(
+      db,
       "SELECT grp, count(*), sum(v) FROM big GROUP BY grp ORDER BY grp");
   EXPECT_EQ(grouped.rows.size(), 7u);
 }
 
 TEST(VectorExecEdge, NullHandlingParity) {
-  auto db = Database::CreateInMemory();
-  ASSERT_TRUE(
-      db->Execute("CREATE TABLE n (a INTEGER, b VARCHAR, c DOUBLE)").ok());
-  ASSERT_TRUE(db->Execute("INSERT INTO n VALUES "
-                          "(1, 'x', 1.5), "
-                          "(NULL, 'x', 2.5), "
-                          "(3, NULL, NULL), "
-                          "(NULL, NULL, 4.5), "
-                          "(5, 'y', NULL)")
-                  .ok());
-  // NULLs never pass comparison filters, on either engine.
-  EXPECT_EQ(RunBoth(db.get(), "SELECT * FROM n WHERE a > 0").rows.size(), 3u);
-  RunBoth(db.get(), "SELECT * FROM n WHERE a IS NULL");
-  RunBoth(db.get(), "SELECT * FROM n WHERE a IS NOT NULL AND c > 1.0");
+  auto db = testing_fixtures::NullTables();
+  // NULLs never pass comparison filters.
+  EXPECT_EQ(Exec(db.get(), "SELECT * FROM n WHERE a > 0").rows.size(), 3u);
+  EXPECT_EQ(Exec(db.get(), "SELECT * FROM n WHERE a IS NULL").rows.size(), 2u);
   // Aggregates skip NULL inputs; count(*) does not.
-  auto agg = RunBoth(
+  auto agg = Exec(
       db.get(), "SELECT count(*), count(a), sum(a), avg(c), min(a) FROM n");
   ASSERT_EQ(agg.rows.size(), 1u);
   EXPECT_EQ(agg.rows[0][0].AsInt(), 5);
   EXPECT_EQ(agg.rows[0][1].AsInt(), 3);
-  // NULL group keys form their own group identically on both engines.
-  RunBoth(db.get(),
-          "SELECT b, count(*), sum(a) FROM n GROUP BY b ORDER BY count(*)");
-  // NULL join keys: the engine's three-way compare orders NULL as a
-  // value (NULL = NULL matches), so n's two NULL rows each pair with
-  // m's one NULL row — 2 value matches + 2 NULL matches. What this test
-  // pins is that the vectorized hash join normalizes NULL keys exactly
-  // like the row engine.
-  ASSERT_TRUE(db->Execute("CREATE TABLE m (a INTEGER, d VARCHAR)").ok());
-  ASSERT_TRUE(
-      db->Execute("INSERT INTO m VALUES (1, 'p'), (NULL, 'q'), (5, 'r')")
-          .ok());
-  auto join = RunBoth(
-      db.get(), "SELECT n.a, m.d FROM n, m WHERE n.a = m.a ORDER BY n.a");
-  EXPECT_EQ(join.rows.size(), 4u);
-}
-
-class VectorTpchParity : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = Database::CreateInMemory().release();
-    tpch::TpchGenerator gen(tpch::TpchConfig{0.001, 42});
-    auto st = gen.LoadInto(db_);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  }
-
-  static Database* db_;
-};
-
-Database* VectorTpchParity::db_ = nullptr;
-
-TEST_F(VectorTpchParity, EvaluatedQueriesMatchRowEngine) {
-  for (const auto& query : tpch::Queries()) {
-    SCOPED_TRACE("TPC-H Q" + std::to_string(query.number));
-    auto result = RunBoth(db_, query.sql);
-    EXPECT_GE(result.schema.size(), 1u);
-  }
-}
-
-TEST_F(VectorTpchParity, ExtendedQueriesMatchRowEngine) {
-  for (const auto& query : tpch::ExtendedQueries()) {
-    SCOPED_TRACE("TPC-H Q" + std::to_string(query.number));
-    RunBoth(db_, query.sql);
-  }
-}
-
-TEST_F(VectorTpchParity, StatsMatchRowEngine) {
-  // Row counts flowing through the pipeline are engine-independent.
-  for (int qnum : {6, 12, 14}) {
-    auto query = tpch::GetQuery(qnum);
-    ASSERT_TRUE(query.ok());
-    ExecStats vec_stats, row_stats;
-    ExecOptions vec_opts = EngineOpts(ExecEngine::kVectorized);
-    ExecOptions row_opts = EngineOpts(ExecEngine::kRow);
-    auto stmt = ParseSelect((*query)->sql);
-    ASSERT_TRUE(stmt.ok());
-    sim::CostModel vec_cost, row_cost;
-    auto vec = ExecuteSelect(db_, **stmt, nullptr, &vec_cost, vec_opts,
-                             &vec_stats);
-    auto row = ExecuteSelect(db_, **stmt, nullptr, &row_cost, row_opts,
-                             &row_stats);
-    ASSERT_TRUE(vec.ok() && row.ok());
-    EXPECT_EQ(vec_stats.rows_scanned, row_stats.rows_scanned) << qnum;
-    EXPECT_EQ(vec_stats.rows_output, row_stats.rows_output) << qnum;
-  }
+  // NULL group keys form one group of their own.
+  EXPECT_EQ(Exec(db.get(), "SELECT b, count(*) FROM n GROUP BY b").rows.size(),
+            3u);
 }
 
 }  // namespace
