@@ -10,8 +10,8 @@
 //                                  [--against=<old.json>]
 //
 // Validates the schema. The optional `row_*` columns hold the bench's
-// baseline re-run of each query (1 shard for fig12, the synchronous
-// pipeline for serve, the plain engine for fig_oblivious).
+// baseline re-run of each query (1 shard for fig12, the pipeline with
+// one execute slot for serve, the plain engine for fig_oblivious).
 // --require-sim-improvement additionally asserts that, summed over the
 // queries carrying a baseline re-run, the measured run spent strictly
 // fewer simulated cycles than the baseline (deterministic — the
@@ -30,8 +30,9 @@
 // --against=<old.json> compares with an older baseline of the same bench
 // (e.g. one built from the parent commit): it fails unless both name the
 // same queries and every sim_cycles (and row_sim_cycles) is bit-identical
-// — the simulated model did not drift — and prints each query's wall_ms
-// delta, the evidence block for a wall-clock-only change.
+// — the simulated model did not drift — and prints each query's cycle
+// columns (a drifted one with its old and new value) and wall_ms delta,
+// the evidence block for a wall-clock-only change.
 
 #include <cstdio>
 #include <cstdlib>
@@ -82,31 +83,44 @@ int CompareAgainst(const obs::JsonValue& queries, const std::string& path) {
       return Fail(name + ": in " + path + " but not in the new baseline");
     }
   }
+  // "-" stands for a cycle column one of the two baselines lacks.
+  auto print_cycles = [](const obs::JsonValue* v) {
+    if (PositiveNumber(v)) {
+      std::printf("%.0f", v->number_value);
+    } else {
+      std::printf("-");
+    }
+  };
   int drifted = 0;
   for (const auto& [name, q] : queries.object_value) {
     const obs::JsonValue* old = old_queries->Find(name);
     if (old == nullptr) return Fail(name + ": missing from " + path);
+    // One "<field> <new> identical|DRIFTED from <old>" clause per cycle
+    // column either baseline carries.
     bool same = true;
+    std::printf("%-10s", name.c_str());
     for (const char* field : {"sim_cycles", "row_sim_cycles"}) {
       const obs::JsonValue* now = q.Find(field);
       const obs::JsonValue* was = old->Find(field);
       if (now == nullptr && was == nullptr) continue;
-      same = same && now != nullptr && was != nullptr && was->is_number() &&
-             now->number_value == was->number_value;
+      bool field_same = now != nullptr && was != nullptr &&
+                        was->is_number() &&
+                        now->number_value == was->number_value;
+      std::printf(" %s ", field);
+      print_cycles(now);
+      if (field_same) {
+        std::printf(" identical,");
+      } else {
+        std::printf(" DRIFTED from ");
+        print_cycles(was);
+        std::printf(",");
+      }
+      same = same && field_same;
     }
-    const obs::JsonValue* old_sim = old->Find("sim_cycles");
     const obs::JsonValue* old_wall = old->Find("wall_ms");
     double before = PositiveNumber(old_wall) ? old_wall->number_value : 0;
     double after = q.Find("wall_ms")->number_value;
-    std::printf("%-10s sim_cycles %.0f", name.c_str(),
-                q.Find("sim_cycles")->number_value);
-    if (same) {
-      std::printf(" identical");
-    } else {
-      std::printf(" DRIFTED from %.0f",
-                  PositiveNumber(old_sim) ? old_sim->number_value : 0);
-    }
-    std::printf(", wall %.1f -> %.1f ms", before, after);
+    std::printf(" wall %.1f -> %.1f ms", before, after);
     if (before > 0) std::printf(" (%+.1f%%)", 100 * (after - before) / before);
     std::printf("\n");
     if (!same) ++drifted;

@@ -232,8 +232,8 @@ inline sim::SimNanos Percentile(std::vector<sim::SimNanos>& v, int p) {
 /// every machine. `wall_ms` is real elapsed time for the same run: it is
 /// machine-dependent and committed for trend reading, never CI-gated.
 /// The `row_*` pair, when present, is the bench's baseline re-run of the
-/// same query: 1 shard for fig12, the synchronous pipeline for serve,
-/// the plain (non-oblivious) engine for fig_oblivious. baseline_check
+/// same query: 1 shard for fig12, the pipeline with one execute slot for
+/// serve, the plain (non-oblivious) engine for fig_oblivious. baseline_check
 /// gates the direction between the two columns.
 class BaselineWriter {
  public:

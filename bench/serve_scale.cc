@@ -1,21 +1,21 @@
 // Serving-scale stress bench: a large cohort of Zipf-skewed sessions in
 // three SLO classes (gold/silver/bronze weights 8/4/1) bursts statements
-// at one QueryService, once through the event-driven pipeline and once
-// through the synchronous baseline path, over the SAME submission
-// schedule. The comparison — p50/p99 scheduling delay, p99 end-to-end
-// latency, makespan, per-class percentiles — is entirely simulated time,
-// so the table (and the response digest) is byte-identical for any
-// --workers value.
+// at one QueryService, once through the event-driven pipeline with its
+// default execute slots and once through the same pipeline with one
+// execute slot, over the SAME submission schedule. The comparison —
+// p50/p99 scheduling delay, p99 end-to-end latency, makespan, per-class
+// percentiles — is entirely simulated time, so the table (and the
+// response digest) is byte-identical for any --workers value.
 //
 //   serve_scale [sf] [--sessions=N] [--quick] [--json=BENCH_serve.json]
 //               [--workers=N] [--trace-json=...]
 //
 // Defaults to 10000 sessions (600 with --quick; --sessions=100000 is
 // the paper-scale run). With --json, pipelined numbers land in
-// sim_cycles and the synchronous re-run in row_sim_cycles, so
+// sim_cycles and the one-slot re-run in row_sim_cycles, so
 // `baseline_check --require-sim-improvement` gates exactly the claim
-// "the pipeline beats the synchronous path in simulated cycles summed
-// over the reported metrics" (the serve_smoke ctest).
+// "concurrent execute slots beat one execute slot in simulated cycles
+// summed over the reported metrics" (the serve_smoke ctest).
 
 #include <algorithm>
 #include <array>
@@ -104,8 +104,9 @@ struct RunResult {
   double wall_ms = 0;
 };
 
-/// One full run of the schedule through a fresh system + service.
-RunResult RunMode(server::ExecutionMode mode, double sf, int sessions,
+/// One full run of the schedule through a fresh system + service whose
+/// pipeline has `execute_slots` concurrent execute slots.
+RunResult RunMode(size_t execute_slots, double sf, int sessions,
                   const std::vector<std::pair<int, int>>& schedule) {
   WallClock wall;
 
@@ -143,7 +144,7 @@ RunResult RunMode(server::ExecutionMode mode, double sf, int sessions,
   }
 
   server::ServiceOptions service_options;
-  service_options.mode = mode;
+  service_options.execute_slots = execute_slots;
   service_options.limits.max_per_session = kStatementsPerSession + 2;
   service_options.limits.max_total =
       static_cast<size_t>(sessions) * kStatementsPerSession;
@@ -259,7 +260,7 @@ int Main(int argc, char** argv) {
   const int sessions =
       args.sessions > 0 ? args.sessions : (args.quick ? 600 : 10000);
 
-  // One schedule, replayed against both modes: session order interleaves
+  // One schedule, replayed at both slot counts: session order interleaves
   // the classes round-major, the statement text is Zipf-skewed over the
   // template pool (hot templates dominate -> the plan cache carries most
   // of the control path).
@@ -273,18 +274,18 @@ int Main(int argc, char** argv) {
     }
   }
 
-  RunResult pipelined = RunMode(server::ExecutionMode::kPipelined,
+  RunResult pipelined = RunMode(server::ServiceOptions{}.execute_slots,
                                 args.scale_factor, sessions, schedule);
-  RunResult synchronous = RunMode(server::ExecutionMode::kSynchronous,
-                                  args.scale_factor, sessions, schedule);
+  RunResult one_slot = RunMode(1, args.scale_factor, sessions, schedule);
   Summary p = Summarize(pipelined);
-  Summary q = Summarize(synchronous);
+  Summary q = Summarize(one_slot);
 
-  if (pipelined.response_digest != synchronous.response_digest) {
+  if (pipelined.response_digest != one_slot.response_digest) {
     std::fprintf(stderr,
-                 "response digests diverge between modes: %016llx vs %016llx\n",
+                 "response digests diverge between slot counts: "
+                 "%016llx vs %016llx\n",
                  static_cast<unsigned long long>(pipelined.response_digest),
-                 static_cast<unsigned long long>(synchronous.response_digest));
+                 static_cast<unsigned long long>(one_slot.response_digest));
     return 1;
   }
 
@@ -293,7 +294,7 @@ int Main(int argc, char** argv) {
               " statements, Zipf(" + std::to_string(kZipfExponent) + ") over " +
               std::to_string(kTemplates) + " templates");
   std::printf("%-22s %14s %14s %10s\n", "metric (sim ms)", "pipelined",
-              "synchronous", "speedup");
+              "one slot", "speedup");
   auto row = [](const char* name, sim::SimNanos a, sim::SimNanos b) {
     std::printf("%-22s %14.3f %14.3f %9.2fx\n", name,
                 static_cast<double>(a) / 1e6, static_cast<double>(b) / 1e6,
@@ -302,7 +303,7 @@ int Main(int argc, char** argv) {
   row("sched delay p50", p.p50_sched, q.p50_sched);
   row("sched delay p99", p.p99_sched, q.p99_sched);
   row("e2e latency p99", p.p99_e2e, q.p99_e2e);
-  row("makespan", pipelined.makespan, synchronous.makespan);
+  row("makespan", pipelined.makespan, one_slot.makespan);
   for (int c = 0; c < 3; ++c) {
     std::string name = std::string(kClassNames[c]) + " sched p99";
     row(name.c_str(), p.class_p99_sched[c], q.class_p99_sched[c]);
@@ -321,20 +322,20 @@ int Main(int argc, char** argv) {
       static_cast<double>(pipelined.stream_stall_ns) / 1e6);
   std::printf("response digest: %016llx (bit-identical across --workers)\n",
               static_cast<unsigned long long>(pipelined.response_digest));
-  std::printf("wall clock: pipelined %.1f ms, synchronous %.1f ms real\n",
-              pipelined.wall_ms, synchronous.wall_ms);
+  std::printf("wall clock: pipelined %.1f ms, one slot %.1f ms real\n",
+              pipelined.wall_ms, one_slot.wall_ms);
 
-  // BENCH_serve.json: pipelined in sim_cycles, the synchronous baseline
-  // in row_sim_cycles, one row per reported metric.
+  // BENCH_serve.json: the default pipeline in sim_cycles, the one-slot
+  // baseline in row_sim_cycles, one row per reported metric.
   auto emit = [&](const std::string& name, sim::SimNanos pipe,
-                  sim::SimNanos sync) {
+                  sim::SimNanos base) {
     writer.Add(name, pipe, pipelined.wall_ms);
-    writer.AddRow(name, sync, synchronous.wall_ms);
+    writer.AddRow(name, base, one_slot.wall_ms);
   };
   emit("p50_sched_delay", p.p50_sched, q.p50_sched);
   emit("p99_sched_delay", p.p99_sched, q.p99_sched);
   emit("p99_e2e", p.p99_e2e, q.p99_e2e);
-  emit("makespan", pipelined.makespan, synchronous.makespan);
+  emit("makespan", pipelined.makespan, one_slot.makespan);
   for (int c = 0; c < 3; ++c) {
     emit(std::string(kClassNames[c]) + "_p99_sched_delay",
          p.class_p99_sched[c], q.class_p99_sched[c]);

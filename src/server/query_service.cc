@@ -19,6 +19,16 @@ Bytes SeedBytes(uint64_t seed) {
   return b;
 }
 
+/// Reads one flag byte; anything but 0 or 1 is a malformed frame.
+Result<bool> ReadFlag(ByteReader* reader, std::string_view name) {
+  ASSIGN_OR_RETURN(Bytes flag, reader->ReadBytes(1));
+  if (flag[0] > 1) {
+    return Status::InvalidArgument("statement frame: " + std::string(name) +
+                                   " flag must be 0 or 1");
+  }
+  return flag[0] == 1;
+}
+
 }  // namespace
 
 Bytes EncodeStatementRequest(const StatementRequest& request) {
@@ -35,12 +45,12 @@ Bytes EncodeStatementRequest(const StatementRequest& request) {
 Result<StatementRequest> DecodeStatementRequest(const Bytes& plain) {
   ByteReader reader(plain);
   StatementRequest request;
-  ASSIGN_OR_RETURN(Bytes has_expiry, reader.ReadBytes(1));
+  ASSIGN_OR_RETURN(bool has_expiry, ReadFlag(&reader, "has_expiry"));
   ASSIGN_OR_RETURN(uint64_t expiry, reader.ReadU64());
-  if (has_expiry[0] != 0) request.insert_expiry = static_cast<int64_t>(expiry);
-  ASSIGN_OR_RETURN(Bytes has_reuse, reader.ReadBytes(1));
+  if (has_expiry) request.insert_expiry = static_cast<int64_t>(expiry);
+  ASSIGN_OR_RETURN(bool has_reuse, ReadFlag(&reader, "has_reuse"));
   ASSIGN_OR_RETURN(uint64_t reuse, reader.ReadU64());
-  if (has_reuse[0] != 0) request.insert_reuse = static_cast<int64_t>(reuse);
+  if (has_reuse) request.insert_reuse = static_cast<int64_t>(reuse);
   ASSIGN_OR_RETURN(request.sql, reader.ReadLengthPrefixedString());
   ASSIGN_OR_RETURN(request.execution_policy,
                    reader.ReadLengthPrefixedString());
@@ -69,21 +79,26 @@ Bytes EncodeStatementResponse(const StatementResponse& response) {
 Result<StatementResponse> DecodeStatementResponse(const Bytes& plain) {
   ByteReader reader(plain);
   StatementResponse response;
-  ASSIGN_OR_RETURN(Bytes ok, reader.ReadBytes(1));
-  if (ok[0] == 0) {
+  ASSIGN_OR_RETURN(bool ok, ReadFlag(&reader, "ok"));
+  if (!ok) {
+    // Fail closed: an error frame must carry a real error code, or an
+    // error could decode as an empty success.
     ASSIGN_OR_RETURN(uint32_t code, reader.ReadU32());
+    if (code < static_cast<uint32_t>(StatusCode::kInvalidArgument) ||
+        code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
+      return Status::InvalidArgument("statement response: status code " +
+                                     std::to_string(code) + " out of range");
+    }
     ASSIGN_OR_RETURN(std::string message, reader.ReadLengthPrefixedString());
     response.status = Status(static_cast<StatusCode>(code), std::move(message));
-    return response;
+  } else {
+    ASSIGN_OR_RETURN(Bytes wire, reader.ReadLengthPrefixed());
+    ASSIGN_OR_RETURN(response.result, net::DeserializeResult(wire));
+    ASSIGN_OR_RETURN(response.monitor_ns, reader.ReadU64());
+    ASSIGN_OR_RETURN(response.execution_ns, reader.ReadU64());
+    ASSIGN_OR_RETURN(response.offloaded, ReadFlag(&reader, "offloaded"));
+    ASSIGN_OR_RETURN(response.plan_cache_hit, ReadFlag(&reader, "hit"));
   }
-  ASSIGN_OR_RETURN(Bytes wire, reader.ReadLengthPrefixed());
-  ASSIGN_OR_RETURN(response.result, net::DeserializeResult(wire));
-  ASSIGN_OR_RETURN(response.monitor_ns, reader.ReadU64());
-  ASSIGN_OR_RETURN(response.execution_ns, reader.ReadU64());
-  ASSIGN_OR_RETURN(Bytes offloaded, reader.ReadBytes(1));
-  response.offloaded = offloaded[0] != 0;
-  ASSIGN_OR_RETURN(Bytes hit, reader.ReadBytes(1));
-  response.plan_cache_hit = hit[0] != 0;
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after statement response");
   }
@@ -159,7 +174,6 @@ Result<QueryService::ClientSession> QueryService::OpenSession(
   Session session;
   session.client_key = client_key_id;
   session.channel = std::move(service_channel);
-  session.lane = next_lane_++;
   sessions_.emplace(id, std::move(session));
   if (weight != 1) (void)scheduler_.SetSessionWeight(id, weight);
   ++stats_.sessions_opened;
@@ -212,7 +226,6 @@ std::vector<Result<QueryService::ClientSession>> QueryService::OpenSessionBatch(
     Session session;
     session.client_key = spec.client_key_id;
     session.channel = std::move(channels->second);
-    session.lane = next_lane_++;
     sessions_.emplace(id, std::move(session));
     if (spec.weight != 1) (void)scheduler_.SetSessionWeight(id, spec.weight);
     ++stats_.sessions_opened;
@@ -304,17 +317,12 @@ Result<uint64_t> QueryService::Submit(uint64_t session_id,
   return seq;
 }
 
+// ---------------------------------------------------------------------------
+// The pipeline
+// ---------------------------------------------------------------------------
+
 size_t QueryService::RunUntilIdle() {
   std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
-  return options_.mode == ExecutionMode::kPipelined ? RunPipelined()
-                                                    : RunSynchronous();
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined mode
-// ---------------------------------------------------------------------------
-
-size_t QueryService::RunPipelined() {
   size_t popped = 0;
   for (;;) {
     // Lazy intake: pop the weighted-fair scheduler only when the decode
@@ -736,194 +744,6 @@ std::optional<uint64_t> QueryService::AdvanceEncodeLocked(Session& session) {
     }
     return std::nullopt;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous mode (the pre-pipeline serving path, kept as the bench
-// baseline)
-// ---------------------------------------------------------------------------
-
-size_t QueryService::RunSynchronous() {
-  size_t completed = 0;
-  for (;;) {
-    std::optional<QueuedStatement> item;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      item = scheduler_.Next();
-    }
-    if (!item.has_value()) break;
-    DispatchStatement(*item);
-    ++completed;
-  }
-  return completed;
-}
-
-void QueryService::DispatchStatement(const QueuedStatement& item) {
-  StatementRequest request;
-  std::string client_key;
-  sim::SimNanos sched_delay = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sched_delay =
-        sim_now_ >= item.arrival_ns ? sim_now_ - item.arrival_ns : 0;
-    stats_.total_sched_delay_ns += sched_delay;
-    auto it = sessions_.find(item.session_id);
-    if (it == sessions_.end() || it->second.closed) {
-      // Session vanished between admission and dispatch.
-      if (it != sessions_.end()) {
-        StageCompletionLocked(
-            it->second,
-            Completion{item.seq,
-                       Status::Unavailable("session closed before dispatch"),
-                       {},
-                       sched_delay,
-                       sched_delay,
-                       0,
-                       0});
-      }
-      ++stats_.statements_aborted;
-      IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
-      return;
-    }
-    Session& session = it->second;
-    if (sim::FaultAt(sim::fault_site::kServerSessionDrop)) {
-      IRONSAFE_COUNTER_ADD("server.sessions.injected_drops", 1);
-      StageCompletionLocked(
-          session, Completion{item.seq,
-                              Status::Unavailable("injected: session dropped"),
-                              {},
-                              sched_delay,
-                              sched_delay,
-                              0,
-                              0});
-      ++stats_.statements_aborted;
-      IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
-      CloseSessionLocked(session, item.session_id,
-                         "injected: session dropped");
-      return;
-    }
-    auto plain = session.channel->Receive(item.request_frame, nullptr);
-    if (!plain.ok()) {
-      StageCompletionLocked(session, Completion{item.seq, plain.status(), {},
-                                                sched_delay, sched_delay, 0,
-                                                0});
-      ++stats_.statements_aborted;
-      IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
-      return;
-    }
-    auto decoded = DecodeStatementRequest(*plain);
-    if (!decoded.ok()) {
-      StageCompletionLocked(session, Completion{item.seq, decoded.status(), {},
-                                                sched_delay, sched_delay, 0,
-                                                0});
-      ++stats_.statements_aborted;
-      IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
-      return;
-    }
-    request = std::move(*decoded);
-    client_key = session.client_key;
-  }
-
-  // Heavy work runs without mu_: concurrent Submit calls stay admitted
-  // while the engine executes (dispatch_mu_ already serializes us).
-  StatementResponse response = ExecuteRequest(client_key, request);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(item.session_id);
-  if (it == sessions_.end()) return;  // cannot happen; sessions are retained
-  Session& session = it->second;
-  sim::CostModel send_cost;
-  auto frame = session.channel->Send(EncodeStatementResponse(response),
-                                     &send_cost);
-  if (!frame.ok()) {
-    StageCompletionLocked(session,
-                          Completion{item.seq, frame.status(), {}, sched_delay,
-                                     sched_delay + response.total_ns(), 0, 0});
-    ++stats_.statements_aborted;
-    IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
-    return;
-  }
-  serve_cost_.MergeChild(send_cost);
-  // The pseudo-timeline of the synchronous path: each statement occupies
-  // the server for its full serial service time, which is what the
-  // pipelined mode's scheduling delays are measured against.
-  sim::SimNanos service_ns = response.total_ns() + send_cost.elapsed_ns();
-  sim_now_ += service_ns;
-  StageCompletionLocked(
-      session, Completion{item.seq, Status::OK(), std::move(*frame),
-                          sched_delay, sched_delay + service_ns, 0, 0});
-  FinishExecutedLocked(response.plan_cache_hit, response.monitor_ns,
-                       response.execution_ns);
-  // Per-session trace lane: one detail span per statement, excluded from
-  // the default (deterministic) export like every other detail span.
-  obs::Tracer* tracer = obs::CurrentTracer();
-  if (tracer != nullptr) {
-    int64_t now_us = tracer->WallNowUs();
-    tracer->AddDetailSpan("session-" + std::to_string(item.session_id),
-                          "server",
-                          response.total_ns() + send_cost.elapsed_ns(),
-                          session.lane, now_us, now_us);
-  }
-}
-
-StatementResponse QueryService::ExecuteRequest(const std::string& client_key,
-                                               const StatementRequest& request) {
-  StatementResponse response;
-  // Null model: the serve-statement span derives its duration from the
-  // authorize/query/proof children, exactly like engine "execute".
-  obs::SpanGuard serve_span("serve-statement", "server", nullptr);
-
-  uint64_t epoch = system_->monitor()->policy_epoch();
-  std::shared_ptr<const CachedPlan> plan = plan_cache_.Lookup(
-      client_key, request.execution_policy, request.sql, epoch);
-  engine::IronSafeSystem::Authorized fresh;
-  Bytes session_key;
-  sim::SimNanos monitor_ns = 0;
-
-  if (plan != nullptr) {
-    response.plan_cache_hit = true;
-    auto key = system_->AuthorizeCached(client_key, request.sql,
-                                        plan->auth.obligations, &monitor_ns);
-    if (!key.ok()) {
-      response.status = key.status();
-      return response;
-    }
-    session_key = std::move(*key);
-  } else {
-    auto authorized = system_->Authorize(client_key, request.sql,
-                                         request.execution_policy,
-                                         request.insert_expiry,
-                                         request.insert_reuse);
-    if (!authorized.ok()) {
-      response.status = authorized.status();
-      return response;
-    }
-    fresh = std::move(*authorized);
-    session_key = fresh.auth.session_key;
-    monitor_ns = fresh.monitor_ns;
-    if (fresh.auth.rewritten.kind == sql::Statement::Kind::kSelect &&
-        plan_cache_.capacity() > 0) {
-      plan = plan_cache_.Insert(client_key, request.execution_policy,
-                                request.sql, epoch,
-                                CachedPlan{std::move(fresh.auth),
-                                           fresh.monitor_ns});
-    }
-  }
-
-  const monitor::Authorization& auth =
-      plan != nullptr ? plan->auth : fresh.auth;
-  auto result = system_->ExecuteAuthorized(auth, session_key,
-                                           request.execution_policy,
-                                           request.sql, monitor_ns);
-  if (!result.ok()) {
-    response.status = result.status();
-    return response;
-  }
-  response.result = std::move(result->result);
-  response.monitor_ns = result->monitor_ns;
-  response.execution_ns = result->execution_ns;
-  response.offloaded = result->offloaded;
-  return response;
 }
 
 // ---------------------------------------------------------------------------

@@ -75,18 +75,6 @@ struct Completion {
   sim::SimNanos stream_stall_ns = 0;
 };
 
-/// How RunUntilIdle processes admitted statements.
-enum class ExecutionMode {
-  /// Event-driven pipeline on the simulated timeline: decode ->
-  /// authorize -> execute -> encode stages interleave across sessions,
-  /// responses above the chunk threshold stream with credit-based flow
-  /// control. The default.
-  kPipelined,
-  /// One statement end to end at a time (the pre-pipeline serving path);
-  /// kept as the bench comparison baseline.
-  kSynchronous,
-};
-
 struct ServiceOptions {
   SchedulerLimits limits;
   size_t plan_cache_capacity = 128;
@@ -94,7 +82,6 @@ struct ServiceOptions {
   /// session-open order yields identical channel keys (and thus
   /// byte-identical frames) run over run.
   uint64_t handshake_seed = 0x5e55104e;
-  ExecutionMode mode = ExecutionMode::kPipelined;
   /// Statements that may occupy the execute stage concurrently (on the
   /// simulated timeline; native work still runs one event at a time).
   size_t execute_slots = 4;
@@ -211,7 +198,6 @@ class QueryService {
   struct Session {
     std::string client_key;
     std::unique_ptr<net::SecureChannel> channel;  // service end
-    int lane = 0;          ///< detail-span display lane
     uint64_t next_seq = 0;
     bool closed = false;
     std::deque<Completion> completions;
@@ -230,7 +216,7 @@ class QueryService {
   };
 
   /// One statement in flight between the scheduler pop and the encode
-  /// stage (pipelined mode).
+  /// stage.
   struct Inflight {
     uint64_t session_id = 0;
     uint64_t seq = 0;
@@ -249,8 +235,7 @@ class QueryService {
     Bytes frame;  ///< sealed response, produced by the encode stage
   };
 
-  // ---- pipelined mode ----
-  size_t RunPipelined();
+  // ---- pipeline stages ----
   /// Pops one statement's worth of intake: session checks, the session
   /// drop fault, then entry into the decode stage.
   void IntakeStatement(QueuedStatement item);
@@ -271,12 +256,6 @@ class QueryService {
   /// single-frame responses, a chunked credit-window schedule (plus the
   /// midstream-drop / stream-stall fault sites) for larger ones.
   void ScheduleDelivery(Inflight state, sim::SimNanos encode_end);
-
-  // ---- synchronous mode (the PR5 serving path, bench baseline) ----
-  size_t RunSynchronous();
-  void DispatchStatement(const QueuedStatement& item);
-  StatementResponse ExecuteRequest(const std::string& client_key,
-                                   const StatementRequest& request);
 
   // ---- shared helpers ----
   /// Stages `completion` and flushes the contiguous prefix to the
@@ -310,7 +289,6 @@ class QueryService {
   FairScheduler scheduler_;
   PlanCache plan_cache_;
   uint64_t next_session_id_ = 1;
-  int next_lane_ = 0;
   bool draining_ = false;
 
   // Pipeline state (all under dispatch_mu_).
@@ -327,9 +305,7 @@ class QueryService {
   size_t pipeline_window_;
 
   /// The serving clock, mirrored from events_.now() under mu_ so Submit
-  /// can stamp arrivals without touching the event queue. In synchronous
-  /// mode it advances by each statement's full serial service time,
-  /// which keeps scheduling-delay measurements comparable across modes.
+  /// can stamp arrivals without touching the event queue.
   sim::SimNanos sim_now_ = 0;
 
   sim::CostModel serve_cost_;

@@ -303,6 +303,48 @@ TEST(StatementCodecTest, GarbageAndTrailingBytesRejected) {
   Bytes padded = EncodeStatementRequest(request);
   padded.push_back(0xFF);
   EXPECT_FALSE(DecodeStatementRequest(padded).ok());
+
+  auto rejected = [](const Result<StatementResponse>& r) {
+    return r.status().code() == StatusCode::kInvalidArgument;
+  };
+  auto error_frame = [](uint32_t code) {
+    Bytes frame = {0x00};
+    PutU32(&frame, code);
+    PutLengthPrefixed(&frame, "x");
+    return frame;
+  };
+  // Status code 0 (kOk) in an error frame would turn an error into an
+  // empty success; codes past kUnavailable are not errors at all.
+  EXPECT_TRUE(rejected(DecodeStatementResponse(error_frame(0))));
+  EXPECT_TRUE(rejected(DecodeStatementResponse(
+      error_frame(static_cast<uint32_t>(StatusCode::kUnavailable) + 1))));
+  EXPECT_TRUE(DecodeStatementResponse(
+                  error_frame(static_cast<uint32_t>(StatusCode::kNotFound)))
+                  .ok());
+  // The error branch checks trailing bytes too.
+  Bytes padded_error =
+      error_frame(static_cast<uint32_t>(StatusCode::kNotFound));
+  padded_error.push_back(0x00);
+  EXPECT_TRUE(rejected(DecodeStatementResponse(padded_error)));
+
+  // Flag bytes are 0 or 1. Response flags: ok (byte 0), offloaded and hit
+  // (the last two bytes).
+  Bytes ok_frame = EncodeStatementResponse(StatementResponse{});
+  ASSERT_TRUE(DecodeStatementResponse(ok_frame).ok());
+  for (size_t at : {size_t{0}, ok_frame.size() - 2, ok_frame.size() - 1}) {
+    Bytes bad = ok_frame;
+    bad[at] = 2;
+    EXPECT_TRUE(rejected(DecodeStatementResponse(bad))) << "byte " << at;
+  }
+  // Request flags: has_expiry (byte 0) and has_reuse (byte 9).
+  Bytes request_frame = EncodeStatementRequest(request);
+  for (size_t at : {size_t{0}, size_t{9}}) {
+    Bytes bad = request_frame;
+    bad[at] = 0x80;
+    EXPECT_EQ(DecodeStatementRequest(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << "byte " << at;
+  }
 }
 
 // ---------------- QueryService ----------------
@@ -843,16 +885,17 @@ TEST_F(QueryServiceTest, EpochBumpWithStatementsInFlightStaysCoherent) {
   }
 }
 
-TEST_F(QueryServiceTest, PipelinedAndSynchronousAgreeOnEveryResponse) {
-  // The pipeline refactor's equivalence bar: the event-driven path must
-  // produce exactly the decoded responses of the synchronous baseline for
-  // the same submission schedule (latency differs; content never).
-  auto run = [](ExecutionMode mode) {
+TEST_F(QueryServiceTest, OneSlotAndDefaultSlotsAgreeOnEveryResponse) {
+  // Execute-stage concurrency changes only the timeline: the default
+  // pipeline must produce exactly the decoded responses of the same
+  // pipeline with one execute slot (bench/serve_scale's baseline) for the
+  // same submission schedule (latency differs; content never).
+  auto run = [](size_t execute_slots) {
     std::unique_ptr<engine::IronSafeSystem> system = NewSystem();
     EXPECT_NE(system, nullptr);
     if (system == nullptr) return std::string{};
     ServiceOptions options;
-    options.mode = mode;
+    options.execute_slots = execute_slots;
     QueryService service(system.get(), options);
     End c0 = Open(service, "c0");
     End c1 = Open(service, "c1");
@@ -892,10 +935,10 @@ TEST_F(QueryServiceTest, PipelinedAndSynchronousAgreeOnEveryResponse) {
     service.Shutdown();
     return fingerprint.str();
   };
-  std::string pipelined = run(ExecutionMode::kPipelined);
-  std::string synchronous = run(ExecutionMode::kSynchronous);
+  std::string pipelined = run(ServiceOptions{}.execute_slots);
+  std::string one_slot = run(1);
   EXPECT_FALSE(pipelined.empty());
-  EXPECT_EQ(pipelined, synchronous);
+  EXPECT_EQ(pipelined, one_slot);
   EXPECT_NE(pipelined.find(" hit 1"), std::string::npos);
 }
 
