@@ -87,7 +87,8 @@ Status ShardedCsaFleet::Load(
   routes_.clear();
   for (const std::string& name : staging->TableNames()) {
     ASSIGN_OR_RETURN(sql::Table * table, staging->GetTable(name));
-    const auto& rows = static_cast<const sql::MemoryTable*>(table)->rows();
+    ASSIGN_OR_RETURN(std::vector<sql::Row> rows,
+                     sql::ReadRows(*table, nullptr));
 
     const sql::TablePartition* spec = nullptr;
     for (const sql::TablePartition& s : options_.partitions) {
@@ -128,10 +129,10 @@ Status ShardedCsaFleet::Load(
     if (route.kind == sql::PartitionKind::kReplicated) {
       for (auto& slice : slices) slice = rows;
     } else {
-      for (const sql::Row& row : rows) {
+      for (sql::Row& row : rows) {
         slices[RouteRow(route.key_index, route.kind, route.min_key,
                         route.chunk, row, options_.shard_count)]
-            .push_back(row);
+            .push_back(std::move(row));
       }
     }
 

@@ -52,14 +52,14 @@ void ColumnBatch::AppendRow(const Row& row) {
 
 Status ColumnBatch::AppendSerialized(ByteReader* reader) {
   ASSIGN_OR_RETURN(uint16_t n, reader->ReadU16());
+  if (n != cols_.size()) {
+    return Status::Corruption("row arity mismatch in page");
+  }
   size_t bytes = sizeof(Row) + n * sizeof(Value);
   for (uint16_t c = 0; c < n; ++c) {
     ASSIGN_OR_RETURN(Value v, Value::Deserialize(reader));
     if (v.type() == Type::kString) bytes += v.AsString().size();
-    if (c < cols_.size()) PushValue(c, v);
-  }
-  for (size_t c = n; c < cols_.size(); ++c) {
-    PushValue(c, Value::Null());
+    PushValue(c, v);
   }
   row_bytes_.push_back(static_cast<uint32_t>(bytes));
   total_row_bytes_ += bytes;

@@ -24,8 +24,9 @@ using SelVec = std::vector<uint32_t>;
 /// touching Value. Strings live in a parallel array allocated only for
 /// columns that contain at least one string.
 ///
-/// Batches are immutable after the decode fills them (shared_ptr<const>
-/// across operators and the page store's decoded-batch cache).
+/// Batches are immutable once handed out (shared_ptr<const> across
+/// operators, the page store's decoded-batch cache and MemoryTable's
+/// stored units).
 class ColumnBatch {
  public:
   /// Upper bound chosen so one batch covers any 4 KiB heap-file page
@@ -63,9 +64,12 @@ class ColumnBatch {
   size_t num_cols() const { return cols_.size(); }
   const Col& col(size_t c) const { return cols_[c]; }
 
+  /// Appends `row`, padding missing columns with NULL and ignoring extra
+  /// values — callers check arity.
   void AppendRow(const Row& row);
   /// Appends one serialized row (u16 value count + tagged values) —
   /// the heap-file page layout — decoding straight into the columns.
+  /// A value count other than num_cols() is Corruption.
   Status AppendSerialized(ByteReader* reader);
 
   /// Rebuilds the Value at (col, row).

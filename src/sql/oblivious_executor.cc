@@ -105,21 +105,7 @@ struct OblScanSlice {
 /// taken, so cost stays history-independent.
 Status ScanTableOblivious(Ctx* ctx, Table* table, ORel* rel) {
   uint64_t units = table->morsel_units();
-  if (units == 0) {
-    // Empty table (or a store without partitioned scans): plain serial
-    // cursor over whatever is there — still a full scan.
-    auto cursor = table->NewCursor(ctx->cost);
-    Row row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-      if (!more) break;
-      if (ctx->stats != nullptr) ++ctx->stats->rows_scanned;
-      ctx->Charge(kOblScanRowCycles);
-      rel->rows.push_back(std::move(row));
-    }
-    rel->valid.assign(rel->rows.size(), 1);
-    return Status::OK();
-  }
+  if (units == 0) return Status::OK();  // empty table: nothing to read
 
   int workers = PlanWorkers(*ctx, units, kMinScanUnitsPerWorker);
   std::vector<OblScanSlice> slices(workers);

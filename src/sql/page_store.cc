@@ -32,21 +32,4 @@ uint64_t SecurePageStore::Allocate() {
   return next_page_++;
 }
 
-Result<Bytes> MemoryPageStore::ReadPage(uint64_t id, sim::CostModel* cost) {
-  (void)cost;  // in-memory: no device charge
-  if (id >= pages_.size()) return Status::NotFound("no such page");
-  return pages_[id];
-}
-
-Status MemoryPageStore::WritePage(uint64_t id, const Bytes& page,
-                                  sim::CostModel* cost) {
-  (void)cost;
-  if (page.size() != kPageSize) {
-    return Status::InvalidArgument("page must be 4096 bytes");
-  }
-  if (id >= pages_.size()) pages_.resize(id + 1);
-  pages_[id] = page;
-  return Status::OK();
-}
-
 }  // namespace ironsafe::sql

@@ -1,107 +1,86 @@
 #include "sql/table.h"
 
-#include <algorithm>
-
 #include "sql/column_batch.h"
 
 namespace ironsafe::sql {
 
-Result<DecodedMorsel> Table::DecodeMorselBatch(uint64_t unit,
-                                               sim::CostModel* cost) const {
-  auto batch = std::make_shared<ColumnBatch>(schema().size());
-  auto cursor = NewMorselCursor(unit, unit + 1, cost);
-  if (cursor == nullptr) {
-    return Status::InvalidArgument("table does not support morsel scans");
+Result<std::vector<Row>> ReadRows(const Table& table, sim::CostModel* cost) {
+  std::vector<Row> rows;
+  rows.reserve(table.row_count());
+  for (uint64_t unit = 0; unit < table.morsel_units(); ++unit) {
+    ASSIGN_OR_RETURN(DecodedMorsel decoded,
+                     table.DecodeMorselBatch(unit, cost));
+    const ColumnBatch& batch = *decoded.batch;
+    for (size_t r = 0; r < batch.rows(); ++r) {
+      batch.MaterializeRow(r, &rows.emplace_back());
+    }
   }
-  Row row;
-  while (true) {
-    ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-    if (!more) break;
-    batch->AppendRow(row);
-  }
-  return DecodedMorsel{std::move(batch), false};
+  return rows;
 }
 
 // ------------------------------------------------------ MemoryTable ----
 
 namespace {
-class MemoryTableCursor : public TableCursor {
- public:
-  MemoryTableCursor(const std::vector<Row>* rows, size_t begin, size_t end)
-      : rows_(rows), pos_(begin), end_(end) {}
-
-  Result<bool> Next(Row* row) override {
-    if (pos_ >= end_) return false;
-    *row = (*rows_)[pos_++];
-    return true;
+/// Appends `row` to the tail unit of `units`, opening a new unit when the
+/// tail is full. A tail that a scan still holds is copied first, so a
+/// batch once handed out never changes.
+void AppendToUnits(const Row& row, size_t num_cols,
+                   std::vector<std::shared_ptr<ColumnBatch>>* units) {
+  if (units->empty() ||
+      units->back()->rows() == MemoryTable::kRowsPerMorsel) {
+    units->push_back(std::make_shared<ColumnBatch>(num_cols));
+  } else if (units->back().use_count() > 1) {
+    units->back() = std::make_shared<ColumnBatch>(*units->back());
   }
-
- private:
-  const std::vector<Row>* rows_;
-  size_t pos_;
-  size_t end_;
-};
+  units->back()->AppendRow(row);
+}
 }  // namespace
 
 Status MemoryTable::Append(const Row& row, sim::CostModel* cost) {
   (void)cost;
+  // Checked here because ColumnBatch::AppendRow pads a short row.
   if (row.size() != schema().size()) {
     return Status::InvalidArgument("row arity mismatch for " + name());
   }
-  rows_.push_back(row);
+  AppendToUnits(row, schema().size(), &units_);
+  ++row_count_;
   return Status::OK();
-}
-
-std::unique_ptr<TableCursor> MemoryTable::NewCursor(
-    sim::CostModel* cost) const {
-  (void)cost;
-  return std::make_unique<MemoryTableCursor>(&rows_, 0, rows_.size());
-}
-
-uint64_t MemoryTable::morsel_units() const {
-  return (rows_.size() + kRowsPerMorsel - 1) / kRowsPerMorsel;
-}
-
-std::unique_ptr<TableCursor> MemoryTable::NewMorselCursor(
-    uint64_t begin, uint64_t end, sim::CostModel* cost) const {
-  (void)cost;
-  size_t row_begin = std::min<size_t>(begin * kRowsPerMorsel, rows_.size());
-  size_t row_end = std::min<size_t>(end * kRowsPerMorsel, rows_.size());
-  return std::make_unique<MemoryTableCursor>(&rows_, row_begin, row_end);
 }
 
 Result<DecodedMorsel> MemoryTable::DecodeMorselBatch(
     uint64_t unit, sim::CostModel* cost) const {
   (void)cost;
-  size_t begin = std::min<size_t>(unit * kRowsPerMorsel, rows_.size());
-  size_t end = std::min<size_t>((unit + 1) * kRowsPerMorsel, rows_.size());
-  auto batch = std::make_shared<ColumnBatch>(schema().size());
-  for (size_t i = begin; i < end; ++i) batch->AppendRow(rows_[i]);
-  return DecodedMorsel{std::move(batch), false};
+  if (unit >= units_.size()) {
+    return Status::InvalidArgument("morsel unit out of range for " + name());
+  }
+  return DecodedMorsel{units_[unit], false};
 }
 
 uint64_t MemoryTable::page_count() const {
-  size_t bytes = 0;
-  for (const Row& r : rows_) bytes += RowBytes(r);
+  uint64_t bytes = 0;
+  for (const auto& unit : units_) bytes += unit->total_row_bytes();
   return (bytes + PageStore::kPageSize - 1) / PageStore::kPageSize;
 }
 
 Status MemoryTable::Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
                             sim::CostModel* cost, uint64_t* affected) {
-  (void)cost;
-  std::vector<Row> kept;
+  ASSIGN_OR_RETURN(std::vector<Row> rows, ReadRows(*this, cost));
+  std::vector<std::shared_ptr<ColumnBatch>> units;
+  uint64_t kept = 0;
   uint64_t count = 0;
-  for (Row& row : rows_) {
+  for (Row& row : rows) {
     bool modified = false;
     ASSIGN_OR_RETURN(bool keep, fn(&row, &modified));
     if (keep) {
-      kept.push_back(std::move(row));
+      AppendToUnits(row, schema().size(), &units);
+      ++kept;
       if (modified) ++count;
     } else {
       ++count;
     }
   }
-  rows_ = std::move(kept);
+  units_ = std::move(units);
+  row_count_ = kept;
   if (affected != nullptr) *affected = count;
   return Status::OK();
 }
@@ -150,75 +129,6 @@ Status PagedTable::Append(const Row& row, sim::CostModel* cost) {
   return Status::OK();
 }
 
-namespace {
-/// Scans flushed pages [page_begin, page_end) of the page-id list; the
-/// index one past the last flushed page addresses the unflushed buffer,
-/// so a full-range cursor ([0, page_count)) reproduces table order.
-class PagedTableCursor : public TableCursor {
- public:
-  PagedTableCursor(PageStore* store, const std::vector<uint64_t>* pages,
-                   const std::vector<Bytes>* buffer, size_t page_begin,
-                   size_t page_end, sim::CostModel* cost)
-      : store_(store),
-        pages_(pages),
-        buffer_(buffer),
-        page_index_(page_begin),
-        page_end_(page_end),
-        cost_(cost) {}
-
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      if (rows_left_ > 0) {
-        ASSIGN_OR_RETURN(Row r, DeserializeRow(&*reader_));
-        *row = std::move(r);
-        --rows_left_;
-        return true;
-      }
-      if (page_index_ < std::min(page_end_, pages_->size())) {
-        ASSIGN_OR_RETURN(current_page_,
-                         store_->ReadPage((*pages_)[page_index_++], cost_));
-        reader_.emplace(current_page_);
-        ASSIGN_OR_RETURN(uint16_t n, reader_->ReadU16());
-        rows_left_ = n;
-        continue;
-      }
-      // Unflushed buffered rows (the trailing pseudo-page).
-      if (page_end_ > pages_->size() && buffer_pos_ < buffer_->size()) {
-        ByteReader r((*buffer_)[buffer_pos_++]);
-        ASSIGN_OR_RETURN(Row rr, DeserializeRow(&r));
-        *row = std::move(rr);
-        return true;
-      }
-      return false;
-    }
-  }
-
- private:
-  PageStore* store_;
-  const std::vector<uint64_t>* pages_;
-  const std::vector<Bytes>* buffer_;
-  size_t page_index_;
-  size_t page_end_;
-  sim::CostModel* cost_;
-  Bytes current_page_;
-  std::optional<ByteReader> reader_;
-  uint16_t rows_left_ = 0;
-  size_t buffer_pos_ = 0;
-};
-}  // namespace
-
-std::unique_ptr<TableCursor> PagedTable::NewCursor(
-    sim::CostModel* cost) const {
-  return std::make_unique<PagedTableCursor>(store_, &page_ids_, &buffer_, 0,
-                                            page_count(), cost);
-}
-
-std::unique_ptr<TableCursor> PagedTable::NewMorselCursor(
-    uint64_t begin, uint64_t end, sim::CostModel* cost) const {
-  return std::make_unique<PagedTableCursor>(store_, &page_ids_, &buffer_,
-                                            begin, end, cost);
-}
-
 Result<DecodedMorsel> PagedTable::DecodeMorselBatch(
     uint64_t unit, sim::CostModel* cost) const {
   if (unit < page_ids_.size()) {
@@ -247,22 +157,17 @@ Result<DecodedMorsel> PagedTable::DecodeMorselBatch(
 Status PagedTable::Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
                            sim::CostModel* cost, uint64_t* affected) {
   // Read everything, apply, rewrite pages in place (reusing page ids).
+  ASSIGN_OR_RETURN(std::vector<Row> rows, ReadRows(*this, cost));
   std::vector<Row> kept;
   uint64_t count = 0;
-  {
-    auto cursor = NewCursor(cost);
-    Row row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-      if (!more) break;
-      bool modified = false;
-      ASSIGN_OR_RETURN(bool keep, fn(&row, &modified));
-      if (keep) {
-        kept.push_back(row);
-        if (modified) ++count;
-      } else {
-        ++count;
-      }
+  for (Row& row : rows) {
+    bool modified = false;
+    ASSIGN_OR_RETURN(bool keep, fn(&row, &modified));
+    if (keep) {
+      kept.push_back(std::move(row));
+      if (modified) ++count;
+    } else {
+      ++count;
     }
   }
   // Re-pack into the existing page list (allocate more if needed).

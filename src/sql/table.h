@@ -21,14 +21,6 @@ struct DecodedMorsel {
   bool cached = false;
 };
 
-/// Pull-based row cursor over a table.
-class TableCursor {
- public:
-  virtual ~TableCursor() = default;
-  /// Fills `row` and returns true, or returns false at end of table.
-  virtual Result<bool> Next(Row* row) = 0;
-};
-
 /// A named relation. Implementations: MemoryTable (host intermediates)
 /// and PagedTable (on-device heap file over a PageStore).
 class Table {
@@ -41,32 +33,21 @@ class Table {
   const Schema& schema() const { return schema_; }
 
   virtual Status Append(const Row& row, sim::CostModel* cost) = 0;
-  virtual std::unique_ptr<TableCursor> NewCursor(sim::CostModel* cost) const = 0;
   virtual uint64_t row_count() const = 0;
   virtual uint64_t page_count() const = 0;
 
-  /// Morsel-driven scan support. A table is divided into `morsel_units`
-  /// equally scannable units (pages for paged tables, row blocks for
-  /// memory tables); NewMorselCursor yields the rows of units
-  /// [begin, end) in table order, so concatenating the cursors of a
-  /// contiguous partition reproduces NewCursor's row order exactly.
-  /// A return of 0 units means the table does not support partitioned
-  /// scans and callers must fall back to NewCursor.
-  virtual uint64_t morsel_units() const { return 0; }
-  virtual std::unique_ptr<TableCursor> NewMorselCursor(
-      uint64_t begin, uint64_t end, sim::CostModel* cost) const {
-    (void)begin;
-    (void)end;
-    (void)cost;
-    return nullptr;
-  }
+  /// The one scan API. A table is divided into `morsel_units` equally
+  /// scannable units (pages for paged tables, row blocks for memory
+  /// tables); decoding units [0, morsel_units) in order yields the rows
+  /// in table order, so the batches of a contiguous partition of units
+  /// concatenate to a full scan. An empty table has 0 units.
+  virtual uint64_t morsel_units() const = 0;
 
   /// Decodes morsel unit `unit` into one column batch (the vectorized
-  /// engine's scan granule). Page I/O and security charges are identical
-  /// to cursoring the same unit; only the row-decode step changes shape.
-  /// The default implementation wraps NewMorselCursor.
-  virtual Result<DecodedMorsel> DecodeMorselBatch(uint64_t unit,
-                                                  sim::CostModel* cost) const;
+  /// engine's scan granule), charging the unit's page I/O and security
+  /// work to `cost`.
+  virtual Result<DecodedMorsel> DecodeMorselBatch(
+      uint64_t unit, sim::CostModel* cost) const = 0;
 
   /// Brackets a concurrent morsel scan (forwarded to the page store so
   /// caches can defer state updates; see PageStore::BeginParallelRead).
@@ -92,33 +73,38 @@ class Table {
   Schema schema_;
 };
 
-/// Rows in RAM; used for the host engine's shipped intermediates and for
-/// small in-memory databases.
+/// Every row of `table` in table order, decoded unit by unit through
+/// DecodeMorselBatch (page reads and security work charged to `cost`).
+Result<std::vector<Row>> ReadRows(const Table& table, sim::CostModel* cost);
+
+/// Rows in RAM, stored once as column batches of kRowsPerMorsel rows —
+/// the host engine's shipped intermediates and small in-memory
+/// databases. A scan hands out the stored batches themselves; an Append
+/// never mutates a batch a scan may still hold (it copies the tail unit
+/// first), so handed-out batches stay immutable.
 class MemoryTable : public Table {
  public:
   MemoryTable(std::string name, Schema schema)
       : Table(std::move(name), std::move(schema)) {}
 
   Status Append(const Row& row, sim::CostModel* cost) override;
-  std::unique_ptr<TableCursor> NewCursor(sim::CostModel* cost) const override;
-  uint64_t row_count() const override { return rows_.size(); }
+  uint64_t row_count() const override { return row_count_; }
   uint64_t page_count() const override;
-  uint64_t morsel_units() const override;
-  std::unique_ptr<TableCursor> NewMorselCursor(
-      uint64_t begin, uint64_t end, sim::CostModel* cost) const override;
+  uint64_t morsel_units() const override { return units_.size(); }
+  /// Never `cached`: host scans pay the full decode charge per row.
   Result<DecodedMorsel> DecodeMorselBatch(uint64_t unit,
                                           sim::CostModel* cost) const override;
   Status Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
                  sim::CostModel* cost, uint64_t* affected) override;
-
-  const std::vector<Row>& rows() const { return rows_; }
 
   /// Rows per morsel unit: small enough to load-balance skewed filters,
   /// large enough that per-unit overhead stays negligible.
   static constexpr uint64_t kRowsPerMorsel = 1024;
 
  private:
-  std::vector<Row> rows_;
+  /// Full units of kRowsPerMorsel rows, then at most one partial tail.
+  std::vector<std::shared_ptr<ColumnBatch>> units_;
+  uint64_t row_count_ = 0;
 };
 
 /// Heap file over 4 KiB pages: page = u16 row_count || serialized rows.
@@ -129,15 +115,12 @@ class PagedTable : public Table {
       : Table(std::move(name), std::move(schema)), store_(store) {}
 
   Status Append(const Row& row, sim::CostModel* cost) override;
-  std::unique_ptr<TableCursor> NewCursor(sim::CostModel* cost) const override;
   uint64_t row_count() const override { return row_count_; }
   uint64_t page_count() const override {
     return page_ids_.size() + (buffer_.empty() ? 0 : 1);
   }
   /// One unit per page, plus a trailing unit for unflushed buffered rows.
   uint64_t morsel_units() const override { return page_count(); }
-  std::unique_ptr<TableCursor> NewMorselCursor(
-      uint64_t begin, uint64_t end, sim::CostModel* cost) const override;
   Result<DecodedMorsel> DecodeMorselBatch(uint64_t unit,
                                           sim::CostModel* cost) const override;
   void BeginParallelScan(int slots) override {
@@ -156,8 +139,6 @@ class PagedTable : public Table {
   const std::vector<uint64_t>& page_ids() const { return page_ids_; }
 
  private:
-  friend class PagedTableCursor;
-
   Status FlushBuffer(sim::CostModel* cost);
 
   PageStore* store_;

@@ -10,10 +10,12 @@
 #
 # BENCH_ARGS defaults to the fig6 quick invocation so the original
 # bench_smoke registration stays unchanged; serve_smoke passes its own.
-# CHECK_ARGS defaults to none (schema only, the fig6 bench_smoke gate);
+# CHECK_ARGS defaults to none (schema only);
 # serve_smoke and fig12_smoke pass --require-sim-improvement (measured
 # run < its baseline re-run), oblivious_smoke --require-sim-overhead
 # (oblivious > plain, the cost the padded pipeline is expected to pay).
+# All four smoke tests also pass --against=<tests/golden file> (ctest
+# label `model`): every sim_cycles must match the committed golden.
 
 foreach(var BENCH CHECK OUT)
   if(NOT DEFINED ${var})

@@ -6,14 +6,20 @@
 #include "sql/database.h"
 #include "sql/eval.h"
 #include "sql/parser.h"
+#include "storage/block_device.h"
 
 namespace ironsafe::sql {
 namespace {
 
+/// Where the fixture's tables live: in memory (column-batch units) or in
+/// a heap file over plain pages.
+enum class Storage { kMemory, kPaged };
+
 class SqlExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_ = Database::CreateInMemory();
+    db_ = storage_kind() == Storage::kPaged ? Database::CreatePaged(&store_)
+                                       : Database::CreateInMemory();
     Run("CREATE TABLE emp (id INTEGER, name VARCHAR, dept VARCHAR, "
         "salary DOUBLE, hired DATE)");
     Run("INSERT INTO emp VALUES "
@@ -37,8 +43,24 @@ class SqlExecTest : public ::testing::Test {
     return db_->Execute(sql).status();
   }
 
+  virtual Storage storage_kind() const { return Storage::kMemory; }
+
+  storage::BlockDevice disk_;
+  PlainPageStore store_{&disk_};
   std::unique_ptr<Database> db_;
 };
+
+/// The DML cases rewrite tables in place (Table::Rewrite), so they run
+/// over both storages.
+class SqlDmlTest : public SqlExecTest,
+                   public ::testing::WithParamInterface<Storage> {
+ protected:
+  Storage storage_kind() const override { return GetParam(); }
+};
+
+std::string StorageName(const ::testing::TestParamInfo<Storage>& info) {
+  return info.param == Storage::kPaged ? "Paged" : "Memory";
+}
 
 TEST_F(SqlExecTest, SelectStar) {
   auto r = Run("SELECT * FROM emp");
@@ -258,24 +280,79 @@ TEST_F(SqlExecTest, AmbiguousColumnFails) {
   EXPECT_FALSE(RunStatus("SELECT name FROM emp a, emp b").ok());
 }
 
-TEST_F(SqlExecTest, DeleteWithPredicate) {
+TEST_P(SqlDmlTest, DeleteWithPredicate) {
   auto r = Run("DELETE FROM emp WHERE dept = 'sales'");
   EXPECT_EQ(r.rows[0][0].AsInt(), 2);
   EXPECT_EQ(Run("SELECT count(*) FROM emp").rows[0][0].AsInt(), 3);
 }
 
-TEST_F(SqlExecTest, Update) {
+TEST_P(SqlDmlTest, Update) {
   auto r = Run("UPDATE emp SET salary = salary * 2 WHERE dept = 'hr'");
   EXPECT_EQ(r.rows[0][0].AsInt(), 1);
   auto check = Run("SELECT salary FROM emp WHERE name = 'erin'");
   EXPECT_NEAR(check.rows[0][0].AsDouble(), 140000.0, 0.01);
 }
 
-TEST_F(SqlExecTest, InsertIntoSubsetOfColumns) {
+TEST_P(SqlDmlTest, InsertIntoSubsetOfColumns) {
   Run("INSERT INTO emp (id, name) VALUES (9, 'zed')");
   auto r = Run("SELECT dept FROM emp WHERE id = 9");
   EXPECT_TRUE(r.rows[0][0].is_null());
 }
+
+TEST_P(SqlDmlTest, RewriteAcrossManyUnitsAndAnUnflushedTail) {
+  // 3000 bulk-loaded rows span many pages and 3 memory units; 100 more
+  // appended without a bulk-load finish stay in the paged table's
+  // unflushed tail (a 4th memory unit).
+  constexpr int kLoaded = 3000;
+  constexpr int kTail = 100;
+  constexpr int kRows = kLoaded + kTail;
+  Run("CREATE TABLE wide (k INTEGER, s VARCHAR)");
+  auto row = [](int k) {
+    return Row{Value::Int(k), Value::String("value-" + std::to_string(k))};
+  };
+  std::vector<Row> rows;
+  for (int k = 0; k < kLoaded; ++k) rows.push_back(row(k));
+  ASSERT_TRUE(db_->BulkLoad("wide", rows).ok());
+  auto table = db_->GetTable("wide");
+  ASSERT_TRUE(table.ok());
+  for (int k = kLoaded; k < kRows; ++k) {
+    ASSERT_TRUE((*table)->Append(row(k), nullptr).ok());
+  }
+  if (GetParam() == Storage::kPaged) {
+    auto* paged = static_cast<PagedTable*>(*table);
+    ASSERT_GE(paged->page_ids().size(), 3u);
+    ASSERT_EQ((*table)->morsel_units(), paged->page_ids().size() + 1);
+  } else {
+    ASSERT_EQ((*table)->morsel_units(), 4u);
+  }
+
+  // Deletes the middle third, which straddles unit boundaries.
+  auto del = Run("DELETE FROM wide WHERE k >= 1000 AND k < 2000");
+  EXPECT_EQ(del.rows[0][0].AsInt(), 1000);
+  auto upd = Run("UPDATE wide SET s = 'tail' WHERE k >= 2950");
+  EXPECT_EQ(upd.rows[0][0].AsInt(), kRows - 2950);
+  EXPECT_EQ((*table)->row_count(), static_cast<uint64_t>(kRows - 1000));
+
+  auto all = Run("SELECT k, s FROM wide");
+  ASSERT_EQ(all.rows.size(), static_cast<size_t>(kRows - 1000));
+  size_t i = 0;
+  for (int k = 0; k < kRows; ++k) {
+    if (k >= 1000 && k < 2000) continue;
+    ASSERT_EQ(all.rows[i][0].AsInt(), k);
+    EXPECT_EQ(all.rows[i][1].AsString(),
+              k >= 2950 ? "tail" : "value-" + std::to_string(k));
+    ++i;
+  }
+  // Rows appended after the rewrite land after the rewritten ones.
+  Run("INSERT INTO wide VALUES (-1, 'late')");
+  auto last = Run("SELECT k FROM wide");
+  ASSERT_EQ(last.rows.size(), static_cast<size_t>(kRows - 1000 + 1));
+  EXPECT_EQ(last.rows.back()[0].AsInt(), -1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Storage, SqlDmlTest,
+                         ::testing::Values(Storage::kMemory, Storage::kPaged),
+                         StorageName);
 
 TEST_F(SqlExecTest, SelectWithoutFrom) {
   auto r = Run("SELECT 1 + 2 AS three, 'x'");

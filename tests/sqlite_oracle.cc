@@ -213,21 +213,14 @@ Status SqliteOracle::LoadFrom(const Database& db) {
       insert += c > 0 ? ", ?" : "?";
     }
     RETURN_IF_ERROR(exec(create + ")"));
+    ASSIGN_OR_RETURN(std::vector<Row> rows, ReadRows(*table, nullptr));
     sqlite3_stmt* stmt = nullptr;
     if (sqlite3_prepare_v2(db_, (insert + ")").c_str(), -1, &stmt, nullptr) !=
         SQLITE_OK) {
       return Status::Internal(std::string("sqlite: ") + sqlite3_errmsg(db_));
     }
-    auto cursor = table->NewCursor(nullptr);
-    Row row;
     Status status = Status::OK();
-    while (status.ok()) {
-      Result<bool> more = cursor->Next(&row);
-      if (!more.ok()) {
-        status = more.status();
-        break;
-      }
-      if (!*more) break;
+    for (const Row& row : rows) {
       sqlite3_reset(stmt);
       for (size_t c = 0; c < row.size(); ++c) {
         int slot = static_cast<int>(c) + 1;
@@ -250,6 +243,7 @@ Status SqliteOracle::LoadFrom(const Database& db) {
       }
       if (sqlite3_step(stmt) != SQLITE_DONE) {
         status = Status::Internal(std::string("sqlite: ") + sqlite3_errmsg(db_));
+        break;
       }
     }
     sqlite3_finalize(stmt);

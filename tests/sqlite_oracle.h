@@ -37,8 +37,9 @@ class SqliteOracle {
   SqliteOracle(const SqliteOracle&) = delete;
   SqliteOracle& operator=(const SqliteOracle&) = delete;
 
-  /// Copies every table of `db` (schema and stored rows, read through
-  /// Table::NewCursor) into SQLite. Dates become ISO text.
+  /// Copies every table of `db` (schema and stored rows, decoded through
+  /// the engine's own scan path, ReadRows over DecodeMorselBatch) into
+  /// SQLite. Dates become ISO text.
   Status LoadFrom(const Database& db);
 
   /// Runs already-shimmed SQLite SQL; INTEGER/REAL/TEXT/NULL map to

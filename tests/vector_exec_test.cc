@@ -1,16 +1,20 @@
 // Selection-vector edge cases of the vectorized engine: empty batches,
-// fully-filtered batches, batches straddling page boundaries, NULLs.
+// fully-filtered batches, batches straddling page boundaries, NULLs,
+// and in-memory batch units shared by concurrent morsel workers.
 // Each case pins the counts it can state exactly; tests/sql_oracle_test.cc
 // runs the same fixtures against SQLite for the full row sets.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "sql/column_batch.h"
 #include "sql/database.h"
+#include "sql/parser.h"
 #include "edge_fixtures.h"
 
 namespace ironsafe::sql {
@@ -98,6 +102,67 @@ TEST(VectorExecEdge, NullHandlingParity) {
   // NULL group keys form one group of their own.
   EXPECT_EQ(Exec(db.get(), "SELECT b, count(*) FROM n GROUP BY b").rows.size(),
             3u);
+}
+
+TEST(VectorExecEdge, SharedMemoryUnitsUnderParallelScansAndRescans) {
+  // An in-memory table hands its stored batch units to every scan: the
+  // morsel workers of one scan and each correlated re-scan all read the
+  // same batches. Real worker counts must not change rows or cost, and a
+  // later INSERT must not disturb a result already computed.
+  auto db = Database::CreateInMemory();
+  testing_fixtures::MustExecute(db.get(),
+                                "CREATE TABLE t (k INTEGER, g INTEGER)");
+  testing_fixtures::MustExecute(db.get(), "CREATE TABLE u (g INTEGER)");
+  std::vector<Row> rows;
+  for (int k = 0; k < 8 * static_cast<int>(MemoryTable::kRowsPerMorsel);
+       ++k) {
+    rows.push_back(Row{Value::Int(k), Value::Int(k % 5)});
+  }
+  ASSERT_TRUE(db->BulkLoad("t", rows).ok());
+  testing_fixtures::MustExecute(db.get(),
+                                "INSERT INTO u VALUES (0), (2), (4)");
+  auto t = db->GetTable("t");
+  ASSERT_TRUE(t.ok());
+  ASSERT_EQ((*t)->morsel_units(), 8u);
+
+  auto stmt = ParseSelect(
+      "SELECT u.g, (SELECT count(*) FROM t WHERE t.g = u.g), "
+      "(SELECT sum(k) FROM t WHERE t.k > 100 AND t.g = u.g) FROM u");
+  ASSERT_TRUE(stmt.ok());
+  ExecOptions opts;
+  opts.parallelism = 8;
+  std::optional<QueryResult> base;
+  std::optional<sim::CostModel> base_cost;
+  for (int workers : {1, 4, 16}) {
+    common::ThreadPool::set_max_workers(workers);
+    sim::CostModel cm;
+    auto r = ExecuteSelect(db.get(), **stmt, nullptr, &cm, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 3u);
+    if (!base.has_value()) {
+      base = std::move(*r);
+      base_cost = cm;
+      continue;
+    }
+    for (size_t i = 0; i < r->rows.size(); ++i) {
+      for (size_t c = 0; c < r->rows[i].size(); ++c) {
+        EXPECT_EQ(r->rows[i][c].Compare(base->rows[i][c]), 0)
+            << "workers=" << workers << " row " << i << " col " << c;
+      }
+    }
+    EXPECT_EQ(cm, *base_cost) << "workers=" << workers;
+  }
+  common::ThreadPool::set_max_workers(0);
+  EXPECT_EQ(base->rows[0][1].AsInt(), 8 * 1024 / 5 + 1);
+
+  // A scan result holding the tail batch, then an INSERT into that tail.
+  auto scanned = Exec(db.get(), "SELECT k FROM t WHERE k >= 8190");
+  ASSERT_EQ(scanned.rows.size(), 2u);
+  testing_fixtures::MustExecute(db.get(), "INSERT INTO t VALUES (9000, 0)");
+  EXPECT_EQ(scanned.rows.size(), 2u);
+  EXPECT_EQ(Exec(db.get(), "SELECT k FROM t WHERE k >= 8190").rows.size(),
+            3u);
+  EXPECT_EQ((*t)->morsel_units(), 9u);
 }
 
 }  // namespace
