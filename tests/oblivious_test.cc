@@ -242,8 +242,12 @@ void ExpectDifferentialContract(Database* db, const std::string& sql) {
   Capture plain_vec = RunTraced(db, sql, Plain());
   Capture obl_vec = RunTraced(db, sql, Oblivious());
 
-  // Same answer (as a multiset), same row counters, strictly more
-  // simulated cost whenever anything was scanned.
+  // Same output schema (column names and types), same answer (as a
+  // multiset), same row counters, strictly more simulated cost whenever
+  // anything was scanned.
+  EXPECT_EQ(obl_vec.result.schema.ToString(),
+            plain_vec.result.schema.ToString())
+      << sql;
   EXPECT_EQ(CanonicalRows(obl_vec.result), CanonicalRows(plain_vec.result))
       << sql;
   EXPECT_EQ(obl_vec.stats.rows_scanned, plain_vec.stats.rows_scanned) << sql;
