@@ -98,7 +98,12 @@ Result<MerkleTree> MerkleTree::Deserialize(Bytes hmac_key,
                                            const Bytes& image) {
   ByteReader r(image);
   ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
-  if (n > (1ull << 32)) return Status::Corruption("implausible leaf count");
+  // The count is untrusted: each leaf carries at least its 4-byte length
+  // prefix, so a count the rest of the image cannot hold is rejected
+  // before the tree is allocated.
+  if (n > r.remaining() / 4) {
+    return Status::Corruption("implausible leaf count");
+  }
   MerkleTree tree(std::move(hmac_key), n);
   for (uint64_t i = 0; i < n; ++i) {
     ASSIGN_OR_RETURN(Bytes leaf, r.ReadLengthPrefixed());

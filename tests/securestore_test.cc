@@ -81,6 +81,17 @@ TEST(MerkleTreeTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(MerkleTree::Deserialize(Bytes(32, 0), ToBytes("junk")).ok());
 }
 
+// The leaf count comes from untrusted device metadata: a count the image
+// cannot hold (each leaf carries a 4-byte length prefix) is rejected
+// before any tree is allocated.
+TEST(MerkleTreeTest, DeserializeRejectsInflatedLeafCount) {
+  Bytes image;
+  PutU64(&image, uint64_t{1} << 32);
+  auto back = MerkleTree::Deserialize(Bytes(32, 0), image);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption()) << back.status().ToString();
+}
+
 // ---------------- SecureStore fixture ----------------
 
 class SecureStoreTest : public ::testing::Test {
