@@ -55,6 +55,9 @@ ctest --test-dir build -L oblivious --output-on-failure -j "$JOBS"
 echo "==> sharded-fleet leg (ctest -L dist)"
 ctest --test-dir build -L dist --output-on-failure -j "$JOBS"
 
+echo "==> model-gate leg (ctest -L model)"
+ctest --test-dir build -L model --output-on-failure -j "$JOBS"
+
 echo "==> SQLite-oracle leg (ctest -L oracle)"
 ctest --test-dir build -L oracle --output-on-failure -j "$JOBS"
 
