@@ -8,6 +8,7 @@
 #include "obs/retry.h"
 #include "obs/trace.h"
 #include "sim/fault.h"
+#include "sql/column_batch.h"
 #include "sql/parser.h"
 
 namespace ironsafe::engine {
@@ -39,8 +40,8 @@ void ConfigurablePageStore::BeginQuery(uint64_t cache_bytes, bool remote,
   enclave_ = enclave;
 }
 
-Result<Bytes> ConfigurablePageStore::ChargedRead(uint64_t id,
-                                                 sim::CostModel* cost) {
+Result<Bytes> ConfigurablePageStore::ReadPage(uint64_t id,
+                                              sim::CostModel* cost) {
   ASSIGN_OR_RETURN(Bytes page, inner_->ReadPage(id, cost));
   if (remote_ && cost != nullptr) cost->ChargeNetworkBytes(page.size());
   if (enclave_ != nullptr) {
@@ -86,66 +87,57 @@ void ConfigurablePageStore::EvictExcess() {
   }
 }
 
-Result<Bytes> ConfigurablePageStore::ReadPage(uint64_t id,
-                                              sim::CostModel* cost) {
-  if (parallel_slots_ > 0) return ReadPageParallel(id, cost);
-
-  // Page-cache hit: the decrypted page already sits in engine memory, so
-  // no device, network, enclave, or crypto work is charged.
+Result<sql::DecodedMorsel> ConfigurablePageStore::ReadBatch(
+    uint64_t id, size_t num_cols, sim::CostModel* cost) {
+  // Page-cache hit: the verified page already sits in engine memory as
+  // its decoded batch, so no device, network, enclave, or crypto work is
+  // charged.
   if (cache_capacity_ > 0) {
+    std::unique_lock<std::mutex> lock(mu_);
     auto it = cached_.find(id);
     if (it != cached_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      ++cache_hits_;
-      return it->second.data;
+      sql::DecodedMorsel hit{it->second.batch, true};
+      lock.unlock();
+      Record(PageAccess{id, /*hit=*/true});
+      return hit;
     }
   }
 
-  ASSIGN_OR_RETURN(Bytes page, ChargedRead(id, cost));
-  ++pages_read_;
-  if (cache_capacity_ > 0) {
+  ASSIGN_OR_RETURN(Bytes page, ReadPage(id, cost));
+  auto batch = sql::ColumnBatch::FromPage(page, num_cols);
+  if (batch.ok() && cache_capacity_ > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
     auto [it, inserted] = cached_.try_emplace(id);
     if (inserted) {
       lru_.push_front(id);
-      it->second.lru_it = lru_.begin();
-      it->second.data = page;
+      it->second = CacheEntry{lru_.begin(), *batch};
     }
-    EvictExcess();
   }
-  return page;
+  Record(PageAccess{id, /*hit=*/false});
+  if (!batch.ok()) return batch.status();
+  return sql::DecodedMorsel{std::move(*batch), false};
 }
 
-Result<Bytes> ConfigurablePageStore::ReadPageParallel(uint64_t id,
-                                                      sim::CostModel* cost) {
+void ConfigurablePageStore::Record(PageAccess access) {
+  if (parallel_slots_ == 0) {
+    Replay(access);
+    EvictExcess();
+    return;
+  }
   // Accesses are filed under the calling task's slot; the bracket owner
   // (slot -1, e.g. a scan running on the coordinating thread outside
   // RunTasks) files under slot 0.
   int slot = common::ThreadPool::current_slot();
   if (slot < 0 || slot >= static_cast<int>(access_log_.size())) slot = 0;
+  access_log_[slot].push_back(access);
+}
 
-  if (cache_capacity_ > 0) {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = cached_.find(id);
-    if (it != cached_.end()) {
-      Bytes page = it->second.data;
-      lock.unlock();
-      access_log_[slot].push_back(PageAccess{id, /*hit=*/true});
-      return page;
-    }
+void ConfigurablePageStore::Replay(PageAccess access) {
+  ++(access.hit ? cache_hits_ : pages_read_);
+  auto it = cached_.find(access.id);
+  if (it != cached_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   }
-
-  ASSIGN_OR_RETURN(Bytes page, ChargedRead(id, cost));
-  if (cache_capacity_ > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = cached_.try_emplace(id);
-    if (inserted) {
-      lru_.push_front(id);
-      it->second.lru_it = lru_.begin();
-      it->second.data = page;
-    }
-  }
-  access_log_[slot].push_back(PageAccess{id, /*hit=*/false});
-  return page;
 }
 
 void ConfigurablePageStore::BeginParallelRead(int slots) {
@@ -162,38 +154,11 @@ void ConfigurablePageStore::EndParallelRead() {
   // page is touched once), so the frozen cache is also a correct
   // working set.
   for (const auto& log : access_log_) {
-    for (const PageAccess& a : log) {
-      if (a.hit) {
-        ++cache_hits_;
-      } else {
-        ++pages_read_;
-      }
-      auto it = cached_.find(a.id);
-      if (it != cached_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      }
-    }
+    for (PageAccess access : log) Replay(access);
   }
   EvictExcess();
   access_log_.clear();
   parallel_slots_ = 0;
-}
-
-std::shared_ptr<const sql::ColumnBatch> ConfigurablePageStore::CachedBatch(
-    uint64_t id) {
-  // No LRU touch and no counter: the caller already went through
-  // ReadPage for this id, which did both. Locked unconditionally — the
-  // vectorized scan calls this inside parallel brackets.
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cached_.find(id);
-  return it != cached_.end() ? it->second.batch : nullptr;
-}
-
-void ConfigurablePageStore::CacheBatch(
-    uint64_t id, std::shared_ptr<const sql::ColumnBatch> batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cached_.find(id);
-  if (it != cached_.end()) it->second.batch = std::move(batch);
 }
 
 Status ConfigurablePageStore::WritePage(uint64_t id, const Bytes& page,

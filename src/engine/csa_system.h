@@ -33,7 +33,6 @@ std::string_view SystemConfigName(SystemConfig config);
 /// Testbed knobs, mirroring §6.1 and the constrained-resource sweeps.
 struct CsaOptions {
   double scale_factor = 0.002;
-  uint64_t seed = 7;
   sim::HardwareProfile hardware = sim::HardwareProfile::Paper();
   int storage_cores = 16;                                  ///< Figure 10
   uint64_t storage_memory_bytes = 32ull * 1024 * 1024 * 1024;  ///< Figure 11
@@ -83,9 +82,10 @@ class ConfigurablePageStore : public sql::PageStore {
 
   /// Cold per-query state: counters reset, an empty page cache of
   /// `cache_bytes`, and the query's access mode. The cache holds
-  /// decrypted pages in the engine's (enclave or storage-application)
-  /// memory, so re-reads skip disk, network, and crypto — what the
-  /// storage memory budget of Figure 11 buys.
+  /// verified, decrypted pages — as their decoded column batches — in
+  /// the engine's (enclave or storage-application) memory, so re-reads
+  /// skip disk, network, crypto and decoding — what the storage memory
+  /// budget of Figure 11 buys.
   void BeginQuery(uint64_t cache_bytes, bool remote = false,
                   tee::SgxEnclave* enclave = nullptr);
   uint64_t cache_hits() const { return cache_hits_; }
@@ -101,7 +101,17 @@ class ConfigurablePageStore : public sql::PageStore {
     working_set_bytes_ = working_set_bytes;
   }
 
+  /// One uncached page fetch: the inner store plus the configured
+  /// network / enclave access charges. Touches neither the cache nor the
+  /// counters, and is const-safe under concurrency (workers pass private
+  /// cost slices; the secure read path mutates nothing).
   Result<Bytes> ReadPage(uint64_t id, sim::CostModel* cost) override;
+  /// The cached scan path: a hit returns the cached batch (`cached`
+  /// true) and charges nothing — the verified page already sits in
+  /// engine memory; a miss fetches through ReadPage, decodes, and caches
+  /// the batch (a page that fails to decode is not cached).
+  Result<sql::DecodedMorsel> ReadBatch(uint64_t id, size_t num_cols,
+                                       sim::CostModel* cost) override;
   Status WritePage(uint64_t id, const Bytes& page,
                    sim::CostModel* cost) override;
   uint64_t Allocate() override { return inner_->Allocate(); }
@@ -110,29 +120,22 @@ class ConfigurablePageStore : public sql::PageStore {
   Status EndBatch() override { return inner_->EndBatch(); }
 
   /// Morsel-scan bracket (see sql::PageStore). Between the two calls
-  /// ReadPage may run concurrently from disjoint-range tasks; cache
+  /// ReadBatch may run concurrently from disjoint-range tasks; cache
   /// lookups go against a mutex-guarded frozen-but-growing cache and the
   /// per-task accesses are logged, then replayed in task order at
   /// EndParallelRead so LRU recency, hit/read counters and evictions are
   /// bit-identical for every worker count (including 1: the executor
-  /// brackets every base-table scan).
+  /// brackets every base-table scan). Outside a bracket each access is
+  /// replayed at once.
   void BeginParallelRead(int slots) override;
   void EndParallelRead() override;
 
-  /// Decoded-batch cache (see sql::PageStore): columnar decodes ride on
-  /// the page-cache entries, so capacity and eviction are shared with
-  /// the encoded bytes and BeginQuery drops both.
-  std::shared_ptr<const sql::ColumnBatch> CachedBatch(uint64_t id) override;
-  void CacheBatch(uint64_t id,
-                  std::shared_ptr<const sql::ColumnBatch> batch) override;
-
+  /// Misses of ReadBatch: pages fetched (and charged) through ReadPage.
   uint64_t pages_read() const { return pages_read_; }
 
  private:
   struct CacheEntry {
     std::list<uint64_t>::iterator lru_it;
-    Bytes data;
-    /// Columnar decode of `data`, filled lazily by the vectorized engine.
     std::shared_ptr<const sql::ColumnBatch> batch;
   };
   struct PageAccess {
@@ -140,11 +143,11 @@ class ConfigurablePageStore : public sql::PageStore {
     bool hit;
   };
 
-  /// One uncached page fetch: inner store plus the configured network /
-  /// enclave access charges. Const-safe under concurrency (workers pass
-  /// private cost slices; the secure read path mutates nothing).
-  Result<Bytes> ChargedRead(uint64_t id, sim::CostModel* cost);
-  Result<Bytes> ReadPageParallel(uint64_t id, sim::CostModel* cost);
+  /// Files `access` under the calling task's slot inside a bracket, or
+  /// replays it at once outside one.
+  void Record(PageAccess access);
+  /// Counts `access` and moves its page to the LRU front.
+  void Replay(PageAccess access);
   void EvictExcess();
 
   sql::PageStore* inner_;

@@ -25,8 +25,8 @@ using SelVec = std::vector<uint32_t>;
 /// columns that contain at least one string.
 ///
 /// Batches are immutable once handed out (shared_ptr<const> across
-/// operators, the page store's decoded-batch cache and MemoryTable's
-/// stored units).
+/// operators, the page store's page cache and MemoryTable's stored
+/// units).
 class ColumnBatch {
  public:
   /// Upper bound chosen so one batch covers any 4 KiB heap-file page

@@ -1,7 +1,7 @@
 #include "sql/exec_internal.h"
 
 #include "common/thread_pool.h"
-#include "sql/vector_kernels.h"
+#include "sql/vector_eval.h"
 
 namespace ironsafe::sql::exec {
 
@@ -125,14 +125,7 @@ Type InferType(const Expr& e, const Schema& schema) {
 
 Bytes KeyOf(const std::vector<Value>& values) {
   Bytes key;
-  for (const Value& v : values) {
-    // Normalize numerics so INT 3 and DOUBLE 3.0 group/join together.
-    if (v.IsNumeric() && v.type() != Type::kDate) {
-      vec::AppendKeyF64(&key, v.AsDouble());
-    } else {
-      v.Serialize(&key);
-    }
-  }
+  for (const Value& v : values) AppendKey(v, &key);
   return key;
 }
 
@@ -156,17 +149,20 @@ Result<QueryResult> ExecuteSelectWithoutFrom(Database* db,
   return result;
 }
 
-Ctx::Ctx(Database* db, sim::CostModel* cost, const ExecOptions& opts,
-         ExecStats* stats, const EvalScope* outer)
-    : db(db),
-      cost(cost),
-      opts(opts),
-      stats(stats),
-      outer(outer),
-      runner(std::make_unique<ExecSubqueryRunner>(db, cost, opts)),
+Ctx::Ctx(Database* database, sim::CostModel* cost_model,
+         const ExecOptions& options, ExecStats* exec_stats,
+         const EvalScope* outer_scope)
+    : db(database),
+      cost(cost_model),
+      opts(options),
+      stats(exec_stats),
+      outer(outer_scope),
+      runner(std::make_unique<ExecSubqueryRunner>(database, cost_model,
+                                                  options)),
       eval(std::make_unique<Evaluator>(runner.get())),
-      traced(opts.trace && cost != nullptr && obs::CurrentTracer() != nullptr),
-      access(opts.trace ? obs::CurrentAccessLog() : nullptr) {}
+      traced(options.trace && cost_model != nullptr &&
+             obs::CurrentTracer() != nullptr),
+      access(options.trace ? obs::CurrentAccessLog() : nullptr) {}
 
 int PlanWorkers(const Ctx& ctx, uint64_t work, uint64_t min_per_worker) {
   int workers = common::ThreadPool::EffectiveWorkers(ctx.opts.parallelism);

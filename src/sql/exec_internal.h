@@ -99,9 +99,10 @@ class ExecSubqueryRunner : public SubqueryRunner {
 struct Ctx {
   /// Wires the subquery runner and evaluator; stage spans go to the
   /// thread's tracer and access events to its obs::AccessLog when
-  /// opts.trace asks for them.
-  Ctx(Database* db, sim::CostModel* cost, const ExecOptions& opts,
-      ExecStats* stats, const EvalScope* outer);
+  /// options.trace asks for them.
+  Ctx(Database* database, sim::CostModel* cost_model,
+      const ExecOptions& options, ExecStats* exec_stats,
+      const EvalScope* outer_scope);
 
   Database* db = nullptr;
   sim::CostModel* cost = nullptr;
@@ -189,11 +190,10 @@ class StageSpan {
   bool open_ = false;
 };
 
-/// Normalized grouping/join key: numerics (except dates) collapse to the
-/// double bit pattern so INT 3 and DOUBLE 3.0 group/join together;
-/// everything else uses Value::Serialize. NULL encodes as a value, so
-/// GROUP BY and DISTINCT put NULLs together; equi-joins must drop
-/// NULL-keyed rows themselves (SQL: NULL = NULL is unknown).
+/// Normalized grouping/join key: the AppendKey encodings of `values`,
+/// concatenated. NULL encodes as a value, so GROUP BY and DISTINCT put
+/// NULLs together; equi-joins must drop NULL-keyed rows themselves
+/// (SQL: NULL = NULL is unknown).
 Bytes KeyOf(const std::vector<Value>& values);
 
 /// Number of workers for a parallelizable stage of `work` units. The

@@ -1,6 +1,15 @@
 #include "sql/page_store.h"
 
+#include "sql/column_batch.h"
+
 namespace ironsafe::sql {
+
+Result<DecodedMorsel> PageStore::ReadBatch(uint64_t id, size_t num_cols,
+                                           sim::CostModel* cost) {
+  ASSIGN_OR_RETURN(Bytes page, ReadPage(id, cost));
+  ASSIGN_OR_RETURN(auto batch, ColumnBatch::FromPage(page, num_cols));
+  return DecodedMorsel{std::move(batch), false};
+}
 
 Result<Bytes> PlainPageStore::ReadPage(uint64_t id, sim::CostModel* cost) {
   return device_->ReadFrame(id, cost);

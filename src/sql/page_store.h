@@ -14,6 +14,15 @@ namespace ironsafe::sql {
 
 class ColumnBatch;
 
+/// One morsel unit decoded to columnar form. `cached` reports a
+/// page-cache hit: the batch was served from the store's memory without
+/// a page fetch (the vectorized engine charges a cheaper decode constant
+/// for hits).
+struct DecodedMorsel {
+  std::shared_ptr<const ColumnBatch> batch;
+  bool cached = false;
+};
+
 /// Fixed-size page storage abstraction under the relational engine.
 /// Implementations differ in where pages live and what security work the
 /// read path performs — this is exactly the seam the paper's five system
@@ -36,8 +45,15 @@ class PageStore {
   virtual void BeginBatch() {}
   virtual Status EndBatch() { return Status::OK(); }
 
+  /// Reads page `id` and decodes it to a `num_cols`-column batch, the
+  /// paged table's scan path. The default reads and decodes on every
+  /// call (`cached` false); a store with a page cache overrides it and
+  /// serves hits from its cached batches.
+  virtual Result<DecodedMorsel> ReadBatch(uint64_t id, size_t num_cols,
+                                          sim::CostModel* cost);
+
   /// Morsel-scan bracket. Between BeginParallelRead and EndParallelRead
-  /// the executor may call ReadPage concurrently from up to `slots`
+  /// the executor may call ReadBatch concurrently from up to `slots`
   /// tasks (one disjoint page range each; WritePage is not allowed).
   /// Stores with mutable read-path state (caches, counters) override
   /// this to defer those updates and replay them in task order at
@@ -46,22 +62,6 @@ class PageStore {
   /// read paths are const-safe under concurrency.
   virtual void BeginParallelRead(int slots) { (void)slots; }
   virtual void EndParallelRead() {}
-
-  /// Decoded-batch side cache for the vectorized engine: a columnar
-  /// decode of page `id`, attached to the page-cache entry so it lives
-  /// and dies with the encoded bytes (same capacity, same eviction).
-  /// Callers must ReadPage(id) first — the batch never substitutes for
-  /// the page read, so I/O, crypto and cache-counter charges are
-  /// unchanged. Stores without a page cache keep the default no-op.
-  virtual std::shared_ptr<const ColumnBatch> CachedBatch(uint64_t id) {
-    (void)id;
-    return nullptr;
-  }
-  virtual void CacheBatch(uint64_t id,
-                          std::shared_ptr<const ColumnBatch> batch) {
-    (void)id;
-    (void)batch;
-  }
 };
 
 /// Plaintext pages on an untrusted block device (the non-secure baselines
@@ -85,9 +85,6 @@ class PlainPageStore : public PageStore {
 class SecurePageStore : public PageStore {
  public:
   explicit SecurePageStore(securestore::SecureStore* store) : store_(store) {}
-
-  /// Which CPU pays the verification cost (host in hos, storage in scs/sos).
-  void set_site(sim::Site site) { store_->set_site(site); }
 
   Result<Bytes> ReadPage(uint64_t id, sim::CostModel* cost) override;
   Status WritePage(uint64_t id, const Bytes& page,

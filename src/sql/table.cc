@@ -132,17 +132,7 @@ Status PagedTable::Append(const Row& row, sim::CostModel* cost) {
 Result<DecodedMorsel> PagedTable::DecodeMorselBatch(
     uint64_t unit, sim::CostModel* cost) const {
   if (unit < page_ids_.size()) {
-    uint64_t id = page_ids_[unit];
-    // The page read always happens first: decoded-batch hits must leave
-    // the encoded page cache, its counters and every security charge
-    // exactly as a fresh decode of the same unit would.
-    ASSIGN_OR_RETURN(Bytes page, store_->ReadPage(id, cost));
-    if (auto cached = store_->CachedBatch(id); cached != nullptr) {
-      return DecodedMorsel{std::move(cached), true};
-    }
-    ASSIGN_OR_RETURN(auto batch, ColumnBatch::FromPage(page, schema().size()));
-    store_->CacheBatch(id, batch);
-    return DecodedMorsel{std::move(batch), false};
+    return store_->ReadBatch(page_ids_[unit], schema().size(), cost);
   }
   // The trailing pseudo-page of unflushed rows is never cached: it has
   // no page id and mutates on every Append.

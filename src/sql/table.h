@@ -13,14 +13,6 @@ namespace ironsafe::sql {
 
 class ColumnBatch;
 
-/// One morsel unit decoded to columnar form. `cached` reports whether
-/// the batch came from the store's decoded-batch cache (the vectorized
-/// engine charges a cheaper decode constant for hits).
-struct DecodedMorsel {
-  std::shared_ptr<const ColumnBatch> batch;
-  bool cached = false;
-};
-
 /// A named relation. Implementations: MemoryTable (host intermediates)
 /// and PagedTable (on-device heap file over a PageStore).
 class Table {

@@ -61,15 +61,9 @@ void AppendNormalizedKey(const VecCol& c, size_t i, Bytes* key) {
     case VecCol::Kind::kDate:
       vec::AppendKeyDate(key, c.nums[i]);
       return;
-    case VecCol::Kind::kGeneric: {
-      const Value& v = c.vals[i];
-      if (v.IsNumeric() && v.type() != Type::kDate) {
-        vec::AppendKeyF64(key, v.AsDouble());
-      } else {
-        v.Serialize(key);
-      }
+    case VecCol::Kind::kGeneric:
+      AppendKey(c.vals[i], key);
       return;
-    }
   }
 }
 

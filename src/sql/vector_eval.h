@@ -39,9 +39,22 @@ struct VecCol {
   }
 };
 
-/// Appends the executor's normalized grouping/join key encoding of the
-/// value at selection position `i` of `c` — byte-identical to KeyOf, so
-/// the plain hash join and the oblivious sort-merge join agree on keys.
+/// Appends the executor's normalized grouping/join key encoding of `v`:
+/// numerics (except dates) collapse to the double bit pattern so INT 3
+/// and DOUBLE 3.0 group/join together; everything else uses
+/// Value::Serialize. KeyOf and AppendNormalizedKey both encode with it,
+/// once per key value, so it is inline.
+inline void AppendKey(const Value& v, Bytes* key) {
+  if (v.IsNumeric() && v.type() != Type::kDate) {
+    vec::AppendKeyF64(key, v.AsDouble());
+  } else {
+    v.Serialize(key);
+  }
+}
+
+/// AppendKey of the value at selection position `i` of `c`, without
+/// boxing typed columns — byte-identical to KeyOf, so the plain hash
+/// join and the oblivious sort-merge join agree on keys.
 void AppendNormalizedKey(const VecCol& c, size_t i, Bytes* key);
 
 /// Batch-at-a-time expression evaluation. Predicates with a proven

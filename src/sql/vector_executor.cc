@@ -22,7 +22,7 @@ namespace {
 // regardless of whether a kernel or the scalar fallback ran, keeping
 // cost totals independent of fast-path coverage.
 constexpr uint64_t kVecDecodeRowCycles = 60;        ///< fresh page decode
-constexpr uint64_t kVecDecodeCachedRowCycles = 10;  ///< decoded-batch hit
+constexpr uint64_t kVecDecodeCachedRowCycles = 10;  ///< page-cache hit
 constexpr uint64_t kVecFilterRowCycles = 24;
 constexpr uint64_t kVecJoinBuildRowCycles = 60;
 constexpr uint64_t kVecJoinProbeRowCycles = 80;
@@ -94,8 +94,8 @@ struct VecScanSlice : Slice {
 };
 
 /// Morsel-parallel batch scan: each worker decodes the batches of its
-/// contiguous unit range (decoded-batch cache hits charge the cheap
-/// constant) and narrows their selections with the pushed filters, all
+/// contiguous unit range (page-cache hits charge the cheap constant)
+/// and narrows their selections with the pushed filters, all
 /// against a private cost slice; slices merge in range order. Batch
 /// boundaries are unit boundaries, so batch contents, charges and the
 /// merged batch order depend only on the table — never the worker count.

@@ -6,6 +6,7 @@
 #include "engine/csa_system.h"
 #include "engine/ironsafe.h"
 #include "engine/partitioner.h"
+#include "sql/column_batch.h"
 #include "sql/parser.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -383,6 +384,137 @@ TEST_F(CsaSystemTest, AggregationPushdownAgreesAndShipsLess) {
 TEST_F(CsaSystemTest, UnknownQueryErrorsPropagate) {
   auto bad = system_->Run(SystemConfig::kScs, "SELECT * FROM nonexistent");
   EXPECT_FALSE(bad.ok());
+}
+
+// ---------------- page cache ----------------
+
+// The page-cache contract of ConfigurablePageStore, observed through the
+// Table scan API over a three-page table of two rows per page.
+class ConfigurablePageStoreTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kPage = sql::PageStore::kPageSize;
+
+  void SetUp() override {
+    table_.BeginBulkLoad();
+    for (int64_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE(
+          table_.Append(sql::Row{sql::Value::Int(i), Filler()}, nullptr).ok());
+    }
+    ASSERT_TRUE(table_.FinishBulkLoad(nullptr).ok());
+    ASSERT_EQ(table_.page_ids().size(), 3u);
+  }
+
+  static sql::Value Filler() {
+    return sql::Value::String(std::string(1500, 'x'));
+  }
+
+  // Decodes `units` in order, inside one one-slot morsel-scan bracket
+  // when `bracketed`, and returns each unit's `cached` flag.
+  std::vector<bool> Scan(const std::vector<uint64_t>& units, bool bracketed) {
+    std::vector<bool> cached;
+    if (bracketed) table_.BeginParallelScan(1);
+    for (uint64_t unit : units) {
+      auto decoded = table_.DecodeMorselBatch(unit, nullptr);
+      EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+      cached.push_back(decoded.ok() && decoded->cached);
+    }
+    if (bracketed) table_.EndParallelScan();
+    return cached;
+  }
+
+  // Replaces page `unit` with a one-row page holding `row`.
+  void OverwritePage(uint64_t unit, const sql::Row& row) {
+    Bytes page;
+    PutU16(&page, 1);
+    sql::SerializeRow(row, &page);
+    page.resize(kPage, 0);
+    ASSERT_TRUE(access_.WritePage(table_.page_ids()[unit], page, nullptr).ok());
+  }
+
+  storage::BlockDevice disk_;
+  sql::PlainPageStore plain_{&disk_};
+  ConfigurablePageStore access_{&plain_};
+  sql::PagedTable table_{
+      "t",
+      sql::Schema({sql::Column{"k", sql::Type::kInt64},
+                   sql::Column{"pad", sql::Type::kString}}),
+      &access_};
+};
+
+TEST_F(ConfigurablePageStoreTest, SerialAndBracketedRescansAgree) {
+  const std::vector<uint64_t> all = {0, 1, 2};
+  for (bool bracketed : {false, true}) {
+    SCOPED_TRACE(bracketed ? "bracketed" : "serial");
+    access_.BeginQuery(1 << 20);
+    EXPECT_EQ(Scan(all, bracketed), std::vector<bool>(3, false));
+    EXPECT_EQ(Scan(all, bracketed), std::vector<bool>(3, true));
+    EXPECT_EQ(access_.pages_read(), 3u);
+    EXPECT_EQ(access_.cache_hits(), 3u);
+  }
+}
+
+TEST_F(ConfigurablePageStoreTest, EvictsLeastRecentlyUsedPage) {
+  for (bool bracketed : {false, true}) {
+    SCOPED_TRACE(bracketed ? "bracketed" : "serial");
+    access_.BeginQuery(2 * kPage);
+    EXPECT_EQ(Scan({0, 1, 2}, bracketed), std::vector<bool>(3, false));
+    // Page 0 was least recently used when page 2 came in.
+    EXPECT_EQ(Scan({0}, bracketed), std::vector<bool>{false});
+    // The hit on page 2 makes page 0, inserted after it, the victim
+    // when page 1 returns (insertion order would evict page 2).
+    EXPECT_EQ(Scan({2}, bracketed), std::vector<bool>{true});
+    EXPECT_EQ(Scan({1}, bracketed), std::vector<bool>{false});
+    EXPECT_EQ(Scan({2}, bracketed), std::vector<bool>{true});
+    EXPECT_EQ(access_.pages_read(), 5u);
+    EXPECT_EQ(access_.cache_hits(), 2u);
+  }
+}
+
+TEST_F(ConfigurablePageStoreTest, WriteInvalidatesCachedPage) {
+  access_.BeginQuery(1 << 20);
+  EXPECT_EQ(Scan({0, 0}, false), (std::vector<bool>{false, true}));
+  OverwritePage(0, sql::Row{sql::Value::Int(42), sql::Value::String("new")});
+
+  auto decoded = table_.DecodeMorselBatch(0, nullptr);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_FALSE(decoded->cached);
+  ASSERT_EQ(decoded->batch->rows(), 1u);
+  sql::Row row;
+  decoded->batch->MaterializeRow(0, &row);
+  EXPECT_EQ(row, (sql::Row{sql::Value::Int(42), sql::Value::String("new")}));
+  EXPECT_EQ(access_.pages_read(), 2u);
+  EXPECT_EQ(access_.cache_hits(), 1u);
+}
+
+TEST_F(ConfigurablePageStoreTest, ZeroCapacityNeverHits) {
+  for (bool bracketed : {false, true}) {
+    SCOPED_TRACE(bracketed ? "bracketed" : "serial");
+    access_.BeginQuery(0);
+    EXPECT_EQ(Scan({0, 1, 2, 0, 1, 2}, bracketed),
+              std::vector<bool>(6, false));
+    EXPECT_EQ(Scan({0, 1, 2}, bracketed), std::vector<bool>(3, false));
+    EXPECT_EQ(access_.pages_read(), 9u);
+    EXPECT_EQ(access_.cache_hits(), 0u);
+  }
+}
+
+TEST_F(ConfigurablePageStoreTest, UndecodablePageIsNeverCached) {
+  // One value more than the schema has columns.
+  OverwritePage(0, sql::Row{sql::Value::Int(1), Filler(), sql::Value::Int(2)});
+  for (bool bracketed : {false, true}) {
+    SCOPED_TRACE(bracketed ? "bracketed" : "serial");
+    access_.BeginQuery(1 << 20);
+    if (bracketed) table_.BeginParallelScan(1);
+    for (int i = 0; i < 3; ++i) {
+      auto decoded = table_.DecodeMorselBatch(0, nullptr);
+      ASSERT_FALSE(decoded.ok());
+      EXPECT_TRUE(decoded.status().IsCorruption())
+          << decoded.status().ToString();
+    }
+    if (bracketed) table_.EndParallelScan();
+    EXPECT_EQ(access_.pages_read(), 3u);
+    EXPECT_EQ(access_.cache_hits(), 0u);
+  }
 }
 
 // ---------------- IronSafe end-to-end ----------------

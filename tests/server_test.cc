@@ -147,7 +147,9 @@ TEST(FairSchedulerTest, BackloggedBronzeIsBoundedByTheWeightRatio) {
   for (uint64_t i = 0; i < 26; ++i) {
     ASSERT_TRUE(sched.Admit(Item(1, i)).ok());
     ASSERT_TRUE(sched.Admit(Item(2, i)).ok());
-    if (i < 4) ASSERT_TRUE(sched.Admit(Item(3, i)).ok());
+    if (i < 4) {
+      ASSERT_TRUE(sched.Admit(Item(3, i)).ok());
+    }
   }
   std::vector<int> bronze_positions;
   std::map<uint64_t, int> pops;
