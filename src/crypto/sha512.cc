@@ -98,6 +98,7 @@ void Sha512::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha512::Update(const uint8_t* data, size_t len) {
+  if (len == 0) return;  // `data` may be null; memcpy from null is UB
   total_len_ += len;
   if (buffer_len_ > 0) {
     size_t take = std::min(len, kBlockSize - buffer_len_);

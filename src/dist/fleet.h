@@ -24,7 +24,6 @@ namespace ironsafe::dist {
 struct FleetOptions {
   int shard_count = 4;
   int replicas_per_shard = 2;
-  uint64_t seed = 7;
   sim::HardwareProfile hardware = sim::HardwareProfile::Paper();
   int storage_cores = 16;              ///< per storage node
   uint64_t storage_memory_bytes = 32ull * 1024 * 1024 * 1024;  ///< per node

@@ -34,12 +34,10 @@ class PipelineStage {
   /// ends; routes the job onward.
   using Done = std::function<void(uint64_t token, sim::SimNanos end)>;
 
-  PipelineStage(std::string name, size_t slots, sim::EventQueue* events)
+  PipelineStage(std::string name, size_t slots, sim::EventQueue* events,
+                Runner runner, Done done)
       : name_(std::move(name)), slots_(slots == 0 ? 1 : slots),
-        events_(events) {}
-
-  void set_runner(Runner runner) { runner_ = std::move(runner); }
-  void set_done(Done done) { done_ = std::move(done); }
+        events_(events), runner_(std::move(runner)), done_(std::move(done)) {}
 
   /// Starts the job now (slot free) or queues it FIFO.
   void Enter(uint64_t token);

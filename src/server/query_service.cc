@@ -112,35 +112,65 @@ QueryService::QueryService(engine::IronSafeSystem* system,
       handshake_drbg_(SeedBytes(options.handshake_seed)),
       scheduler_(options.limits),
       plan_cache_(options.plan_cache_capacity),
-      decode_("decode", 1, &events_),
-      authorize_("authorize", 1, &events_),
-      execute_("execute", options.execute_slots, &events_),
-      encode_("encode", 1, &events_),
-      pipeline_window_(std::max<size_t>(2, 2 * options.execute_slots)) {
-  decode_.set_runner(
-      [this](uint64_t token, sim::SimNanos start) {
-        return RunDecode(token, start);
-      });
-  decode_.set_done(
-      [this](uint64_t token, sim::SimNanos end) { DecodeDone(token, end); });
-  authorize_.set_runner(
-      [this](uint64_t token, sim::SimNanos start) {
-        return RunAuthorize(token, start);
-      });
-  authorize_.set_done(
-      [this](uint64_t token, sim::SimNanos end) { AuthorizeDone(token, end); });
-  execute_.set_runner(
-      [this](uint64_t token, sim::SimNanos start) {
-        return RunExecute(token, start);
-      });
-  execute_.set_done(
-      [this](uint64_t token, sim::SimNanos end) { ExecuteDone(token, end); });
-  encode_.set_runner(
-      [this](uint64_t token, sim::SimNanos start) {
-        return RunEncode(token, start);
-      });
-  encode_.set_done(
-      [this](uint64_t token, sim::SimNanos end) { EncodeDone(token, end); });
+      decode_("decode", 1, &events_,
+              [this](uint64_t token, sim::SimNanos start) {
+                return RunDecode(token, start);
+              },
+              [this](uint64_t token, sim::SimNanos end) {
+                DecodeDone(token, end);
+              }),
+      authorize_("authorize", 1, &events_,
+                 [this](uint64_t token, sim::SimNanos start) {
+                   return RunAuthorize(token, start);
+                 },
+                 [this](uint64_t token, sim::SimNanos end) {
+                   AuthorizeDone(token, end);
+                 }),
+      execute_("execute", options.execute_slots, &events_,
+               [this](uint64_t token, sim::SimNanos start) {
+                 return RunExecute(token, start);
+               },
+               [this](uint64_t token, sim::SimNanos) {
+                 RouteToEncode(token);
+               }),
+      encode_("encode", 1, &events_,
+              [this](uint64_t token, sim::SimNanos start) {
+                return RunEncode(token, start);
+              },
+              [this](uint64_t token, sim::SimNanos end) {
+                Retire(token, end);
+              }),
+      pipeline_window_(std::max<size_t>(2, 2 * options.execute_slots)) {}
+
+Status QueryService::CheckSessionLocked(const std::string& client_key_id,
+                                        uint32_t weight) const {
+  if (weight == 0) {
+    return Status::InvalidArgument(
+        "session weight 0 would starve the tenant; weights must be >= 1");
+  }
+  // Session identity maps onto the monitor's client registry: a key the
+  // data producer never registered cannot even open a channel.
+  if (!system_->monitor()->ClientRegistered(client_key_id)) {
+    return Status::Unauthenticated("unknown client key: " + client_key_id);
+  }
+  return Status::OK();
+}
+
+uint64_t QueryService::AddSessionLocked(
+    const std::string& client_key_id, uint32_t weight,
+    std::unique_ptr<net::SecureChannel> channel) {
+  uint64_t id = next_session_id_++;
+  Session session;
+  session.client_key = client_key_id;
+  session.channel = std::move(channel);
+  sessions_.emplace(id, std::move(session));
+  if (weight != 1) (void)scheduler_.SetSessionWeight(id, weight);
+  ++stats_.sessions_opened;
+  IRONSAFE_COUNTER_ADD("server.sessions.opened", 1);
+  obs::GetGauge("server.sessions.active")
+      .Set(static_cast<int64_t>(stats_.sessions_opened -
+                                stats_.sessions_closed));
+  return id;
 }
 
 Result<QueryService::ClientSession> QueryService::OpenSession(
@@ -149,17 +179,9 @@ Result<QueryService::ClientSession> QueryService::OpenSession(
   if (draining_) {
     return Status::Unavailable("service is draining; no new sessions");
   }
-  if (weight == 0) {
-    return Status::InvalidArgument(
-        "session weight 0 would starve the tenant; weights must be >= 1");
-  }
-  // Session identity maps onto the monitor's client registry: a key the
-  // data producer never registered cannot even open a channel. The
-  // registry check and key mint enter the monitor enclave — one
+  RETURN_IF_ERROR(CheckSessionLocked(client_key_id, weight));
+  // The registry check and key mint enter the monitor enclave — one
   // transition per session on this path (see OpenSessionBatch).
-  if (!system_->monitor()->ClientRegistered(client_key_id)) {
-    return Status::Unauthenticated("unknown client key: " + client_key_id);
-  }
   serve_cost_.ChargeEnclaveTransition();
   net::Handshake client_side(&handshake_drbg_);
   net::Handshake service_side(&handshake_drbg_);
@@ -169,18 +191,8 @@ Result<QueryService::ClientSession> QueryService::OpenSession(
                    client_side.Finish(service_hello, /*is_initiator=*/true));
   ASSIGN_OR_RETURN(std::unique_ptr<net::SecureChannel> service_channel,
                    service_side.Finish(client_hello, /*is_initiator=*/false));
-
-  uint64_t id = next_session_id_++;
-  Session session;
-  session.client_key = client_key_id;
-  session.channel = std::move(service_channel);
-  sessions_.emplace(id, std::move(session));
-  if (weight != 1) (void)scheduler_.SetSessionWeight(id, weight);
-  ++stats_.sessions_opened;
-  IRONSAFE_COUNTER_ADD("server.sessions.opened", 1);
-  obs::GetGauge("server.sessions.active")
-      .Set(static_cast<int64_t>(stats_.sessions_opened -
-                                stats_.sessions_closed));
+  uint64_t id =
+      AddSessionLocked(client_key_id, weight, std::move(service_channel));
   return ClientSession{id, std::move(client_channel)};
 }
 
@@ -206,14 +218,9 @@ std::vector<Result<QueryService::ClientSession>> QueryService::OpenSessionBatch(
   ++stats_.batch_opens;
   IRONSAFE_COUNTER_ADD("server.sessions.batch_opens", 1);
   for (const SessionSpec& spec : specs) {
-    if (spec.weight == 0) {
-      out.push_back(Status::InvalidArgument(
-          "session weight 0 would starve the tenant; weights must be >= 1"));
-      continue;
-    }
-    if (!system_->monitor()->ClientRegistered(spec.client_key_id)) {
-      out.push_back(
-          Status::Unauthenticated("unknown client key: " + spec.client_key_id));
+    Status checked = CheckSessionLocked(spec.client_key_id, spec.weight);
+    if (!checked.ok()) {
+      out.push_back(std::move(checked));
       continue;
     }
     Bytes session_key = handshake_drbg_.Generate(32);
@@ -222,19 +229,10 @@ std::vector<Result<QueryService::ClientSession>> QueryService::OpenSessionBatch(
       out.push_back(channels.status());
       continue;
     }
-    uint64_t id = next_session_id_++;
-    Session session;
-    session.client_key = spec.client_key_id;
-    session.channel = std::move(channels->second);
-    sessions_.emplace(id, std::move(session));
-    if (spec.weight != 1) (void)scheduler_.SetSessionWeight(id, spec.weight);
-    ++stats_.sessions_opened;
-    IRONSAFE_COUNTER_ADD("server.sessions.opened", 1);
+    uint64_t id = AddSessionLocked(spec.client_key_id, spec.weight,
+                                   std::move(channels->second));
     out.push_back(ClientSession{id, std::move(channels->first)});
   }
-  obs::GetGauge("server.sessions.active")
-      .Set(static_cast<int64_t>(stats_.sessions_opened -
-                                stats_.sessions_closed));
   return out;
 }
 
@@ -245,17 +243,9 @@ void QueryService::CloseSessionLocked(Session& session, uint64_t session_id,
   for (QueuedStatement& evicted : scheduler_.EvictSession(session_id)) {
     sim::SimNanos waited =
         sim_now_ >= evicted.arrival_ns ? sim_now_ - evicted.arrival_ns : 0;
-    session.encode_skipped.insert(evicted.seq);
-    StageCompletionLocked(
-        session, Completion{evicted.seq,
-                            Status::Unavailable(std::string(reason)),
-                            {},
-                            waited,
-                            waited,
-                            0,
-                            0});
-    ++stats_.statements_aborted;
-    IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
+    session.encode_released.insert(evicted.seq);
+    AbortLocked(session, evicted.seq, Status::Unavailable(std::string(reason)),
+                waited, waited);
   }
   ++stats_.sessions_closed;
   IRONSAFE_COUNTER_ADD("server.sessions.closed", 1);
@@ -349,33 +339,16 @@ size_t QueryService::RunUntilIdle() {
 }
 
 void QueryService::IntakeStatement(QueuedStatement item) {
-  std::optional<uint64_t> token;
+  uint64_t token = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     sim::SimNanos now = events_.now();
     sim::SimNanos sched_delay =
         now >= item.arrival_ns ? now - item.arrival_ns : 0;
     stats_.total_sched_delay_ns += sched_delay;
-    auto it = sessions_.find(item.session_id);
-    if (it == sessions_.end() || it->second.closed) {
-      // Session vanished between admission and dispatch.
-      if (it != sessions_.end()) {
-        it->second.encode_skipped.insert(item.seq);
-        StageCompletionLocked(
-            it->second,
-            Completion{item.seq,
-                       Status::Unavailable("session closed before dispatch"),
-                       {},
-                       sched_delay,
-                       sched_delay,
-                       0,
-                       0});
-      }
-      ++stats_.statements_aborted;
-      IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
-      return;
-    }
-    Session& session = it->second;
+    // The session is open: every close path evicts its queued statements
+    // under dispatch_mu_, which RunUntilIdle holds from the pop onward.
+    Session& session = sessions_.find(item.session_id)->second;
     // Injected session drop at dispatch: the tenant disappears while its
     // statement is queued. The victim statement and everything else the
     // session had queued complete with kUnavailable (nothing executed),
@@ -383,32 +356,24 @@ void QueryService::IntakeStatement(QueuedStatement item) {
     // a fresh session and resubmitting.
     if (sim::FaultAt(sim::fault_site::kServerSessionDrop)) {
       IRONSAFE_COUNTER_ADD("server.sessions.injected_drops", 1);
-      session.encode_skipped.insert(item.seq);
-      StageCompletionLocked(
-          session, Completion{item.seq,
-                              Status::Unavailable("injected: session dropped"),
-                              {},
-                              sched_delay,
-                              sched_delay,
-                              0,
-                              0});
-      ++stats_.statements_aborted;
-      IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
+      session.encode_released.insert(item.seq);
+      AbortLocked(session, item.seq,
+                  Status::Unavailable("injected: session dropped"),
+                  sched_delay, sched_delay);
       CloseSessionLocked(session, item.session_id,
                          "injected: session dropped");
       return;
     }
-    uint64_t tok = next_token_++;
+    token = next_token_++;
     Inflight state;
     state.session_id = item.session_id;
     state.seq = item.seq;
     state.request_frame = std::move(item.request_frame);
     state.arrival_ns = item.arrival_ns;
     state.sched_delay_ns = sched_delay;
-    inflight_.emplace(tok, std::move(state));
-    token = tok;
+    inflight_.emplace(token, std::move(state));
   }
-  if (token.has_value()) decode_.Enter(*token);
+  decode_.Enter(token);
 }
 
 sim::SimNanos QueryService::RunDecode(uint64_t token, sim::SimNanos start) {
@@ -417,25 +382,15 @@ sim::SimNanos QueryService::RunDecode(uint64_t token, sim::SimNanos start) {
   obs::SpanGuard span("stage-decode", "server", &recv_cost);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(state.session_id);
-    if (it == sessions_.end() || it->second.closed) {
-      state.failed = true;
-      state.transport = Status::Unavailable("session closed before dispatch");
+    const Session& session = sessions_.find(state.session_id)->second;
+    auto plain = session.channel->Receive(state.request_frame, &recv_cost);
+    auto decoded = plain.ok() ? DecodeStatementRequest(*plain)
+                              : Result<StatementRequest>(plain.status());
+    if (!decoded.ok()) {
+      state.transport = decoded.status();
     } else {
-      auto plain = it->second.channel->Receive(state.request_frame, &recv_cost);
-      if (!plain.ok()) {
-        state.failed = true;
-        state.transport = plain.status();
-      } else {
-        auto decoded = DecodeStatementRequest(*plain);
-        if (!decoded.ok()) {
-          state.failed = true;
-          state.transport = decoded.status();
-        } else {
-          state.request = std::move(*decoded);
-          state.client_key = it->second.client_key;
-        }
-      }
+      state.request = std::move(*decoded);
+      state.client_key = session.client_key;
     }
     serve_cost_.MergeChild(recv_cost);
   }
@@ -447,9 +402,8 @@ sim::SimNanos QueryService::RunDecode(uint64_t token, sim::SimNanos start) {
 }
 
 void QueryService::DecodeDone(uint64_t token, sim::SimNanos end) {
-  Inflight& state = inflight_.find(token)->second;
-  if (state.failed) {
-    ResolveAborted(token, end);
+  if (!inflight_.find(token)->second.transport.ok()) {
+    Retire(token, end);
     return;
   }
   authorize_.Enter(token);
@@ -481,15 +435,16 @@ sim::SimNanos QueryService::RunAuthorize(uint64_t token, sim::SimNanos start) {
     if (!authorized.ok()) {
       state.response.status = authorized.status();
     } else {
-      state.fresh = std::move(*authorized);
-      state.session_key = state.fresh.auth.session_key;
-      monitor_ns = state.fresh.monitor_ns;
-      if (state.fresh.auth.rewritten.kind == sql::Statement::Kind::kSelect &&
+      monitor_ns = authorized->monitor_ns;
+      state.session_key = authorized->auth.session_key;
+      CachedPlan fresh{std::move(authorized->auth), monitor_ns};
+      if (fresh.auth.rewritten.kind == sql::Statement::Kind::kSelect &&
           plan_cache_.capacity() > 0) {
         state.plan = plan_cache_.Insert(
             state.client_key, state.request.execution_policy,
-            state.request.sql, epoch,
-            CachedPlan{std::move(state.fresh.auth), state.fresh.monitor_ns});
+            state.request.sql, epoch, std::move(fresh));
+      } else {
+        state.plan = std::make_shared<const CachedPlan>(std::move(fresh));
       }
     }
   }
@@ -514,9 +469,7 @@ void QueryService::AuthorizeDone(uint64_t token, sim::SimNanos) {
 sim::SimNanos QueryService::RunExecute(uint64_t token, sim::SimNanos start) {
   Inflight& state = inflight_.find(token)->second;
   obs::SpanGuard span("stage-execute", "server", nullptr);
-  const monitor::Authorization& auth =
-      state.plan != nullptr ? state.plan->auth : state.fresh.auth;
-  auto result = system_->ExecuteAuthorized(auth, state.session_key,
+  auto result = system_->ExecuteAuthorized(state.plan->auth, state.session_key,
                                            state.request.execution_policy,
                                            state.request.sql,
                                            state.monitor_ns);
@@ -537,10 +490,6 @@ sim::SimNanos QueryService::RunExecute(uint64_t token, sim::SimNanos start) {
   EmitStageSpan("execute", start, start + duration, 2);
   IRONSAFE_COUNTER_ADD("server.pipeline.executed", 1);
   return duration;
-}
-
-void QueryService::ExecuteDone(uint64_t token, sim::SimNanos) {
-  RouteToEncode(token);
 }
 
 void QueryService::RouteToEncode(uint64_t token) {
@@ -571,7 +520,6 @@ sim::SimNanos QueryService::RunEncode(uint64_t token, sim::SimNanos start) {
     auto frame = session.channel->Send(EncodeStatementResponse(state.response),
                                        &send_cost);
     if (!frame.ok()) {
-      state.failed = true;
       state.transport = frame.status();
     } else {
       state.frame = std::move(*frame);
@@ -585,25 +533,20 @@ sim::SimNanos QueryService::RunEncode(uint64_t token, sim::SimNanos start) {
   return duration;
 }
 
-void QueryService::EncodeDone(uint64_t token, sim::SimNanos end) {
-  auto node = inflight_.extract(token);
-  Inflight state = std::move(node.mapped());
+void QueryService::Retire(uint64_t token, sim::SimNanos end) {
+  Inflight state = std::move(inflight_.extract(token).mapped());
   std::optional<uint64_t> next_token;
   {
     std::lock_guard<std::mutex> lock(mu_);
     Session& session = sessions_.find(state.session_id)->second;
-    ++session.next_encode_seq;
+    session.encode_released.insert(state.seq);
     next_token = AdvanceEncodeLocked(session);
-    if (state.failed) {
-      StageCompletionLocked(
-          session, Completion{state.seq, state.transport, {},
-                              state.sched_delay_ns,
-                              end - state.arrival_ns, 0, 0});
-      ++stats_.statements_aborted;
-      IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
+    if (!state.transport.ok()) {
+      AbortLocked(session, state.seq, state.transport, state.sched_delay_ns,
+                  end - state.arrival_ns);
     }
   }
-  if (!state.failed) ScheduleDelivery(std::move(state), end);
+  if (state.transport.ok()) ScheduleDelivery(std::move(state), end);
   if (next_token.has_value()) encode_.Enter(*next_token);
 }
 
@@ -614,14 +557,12 @@ void QueryService::ScheduleDelivery(Inflight state, sim::SimNanos encode_end) {
     // Small response: the sealed frame ships whole; delivery coincides
     // with the encode stage's end.
     std::lock_guard<std::mutex> lock(mu_);
-    Session& session = sessions_.find(state.session_id)->second;
-    StageCompletionLocked(
-        session, Completion{state.seq, Status::OK(), std::move(state.frame),
-                            state.sched_delay_ns,
-                            encode_end - state.arrival_ns, 0, 0});
-    FinishExecutedLocked(state.response.plan_cache_hit,
-                         state.response.monitor_ns,
-                         state.response.execution_ns);
+    DeliverLocked(sessions_.find(state.session_id)->second,
+                  Completion{state.seq, Status::OK(), std::move(state.frame),
+                             state.sched_delay_ns,
+                             encode_end - state.arrival_ns, 0, 0},
+                  state.response.plan_cache_hit, state.response.monitor_ns,
+                  state.response.execution_ns);
     return;
   }
 
@@ -675,18 +616,10 @@ void QueryService::ScheduleDelivery(Inflight state, sim::SimNanos encode_end) {
             CloseSessionLocked(session, session_id,
                                "injected: session dropped midstream");
           }
-          StageCompletionLocked(
-              session,
-              Completion{seq,
-                         Status::Unavailable(
-                             "injected: session dropped midstream"),
-                         {},
-                         sched_delay,
-                         now >= arrival ? now - arrival : 0,
-                         delivered,
-                         0});
-          ++stats_.statements_aborted;
-          IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
+          AbortLocked(
+              session, seq,
+              Status::Unavailable("injected: session dropped midstream"),
+              sched_delay, now >= arrival ? now - arrival : 0, delivered);
         });
     return;
   }
@@ -700,39 +633,20 @@ void QueryService::ScheduleDelivery(Inflight state, sim::SimNanos encode_end) {
        monitor_ns = state.response.monitor_ns,
        execution_ns = state.response.execution_ns](sim::SimNanos now) mutable {
         std::lock_guard<std::mutex> lock(mu_);
-        Session& session = sessions_.find(session_id)->second;
-        StageCompletionLocked(
-            session, Completion{seq, Status::OK(), std::move(frame),
-                                sched_delay, now >= arrival ? now - arrival : 0,
-                                chunks, stall});
-        FinishExecutedLocked(cache_hit, monitor_ns, execution_ns);
+        DeliverLocked(sessions_.find(session_id)->second,
+                      Completion{seq, Status::OK(), std::move(frame),
+                                 sched_delay,
+                                 now >= arrival ? now - arrival : 0, chunks,
+                                 stall},
+                      cache_hit, monitor_ns, execution_ns);
       });
-}
-
-void QueryService::ResolveAborted(uint64_t token, sim::SimNanos end) {
-  auto node = inflight_.extract(token);
-  Inflight state = std::move(node.mapped());
-  std::optional<uint64_t> next_token;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Session& session = sessions_.find(state.session_id)->second;
-    session.encode_skipped.insert(state.seq);
-    next_token = AdvanceEncodeLocked(session);
-    StageCompletionLocked(
-        session, Completion{state.seq, state.transport, {},
-                            state.sched_delay_ns, end - state.arrival_ns, 0,
-                            0});
-    ++stats_.statements_aborted;
-    IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
-  }
-  if (next_token.has_value()) encode_.Enter(*next_token);
 }
 
 std::optional<uint64_t> QueryService::AdvanceEncodeLocked(Session& session) {
   for (;;) {
-    auto skipped = session.encode_skipped.find(session.next_encode_seq);
-    if (skipped != session.encode_skipped.end()) {
-      session.encode_skipped.erase(skipped);
+    auto released = session.encode_released.find(session.next_encode_seq);
+    if (released != session.encode_released.end()) {
+      session.encode_released.erase(released);
       ++session.next_encode_seq;
       continue;
     }
@@ -750,6 +664,32 @@ std::optional<uint64_t> QueryService::AdvanceEncodeLocked(Session& session) {
 // Shared helpers and lifecycle
 // ---------------------------------------------------------------------------
 
+void QueryService::AbortLocked(Session& session, uint64_t seq, Status why,
+                               sim::SimNanos sched_delay, sim::SimNanos e2e,
+                               uint32_t delivered_chunks) {
+  StageCompletionLocked(session, Completion{seq, std::move(why), {},
+                                            sched_delay, e2e,
+                                            delivered_chunks, 0});
+  ++stats_.statements_aborted;
+  IRONSAFE_COUNTER_ADD("server.statements.aborted", 1);
+}
+
+void QueryService::DeliverLocked(Session& session, Completion completion,
+                                 bool hit, sim::SimNanos monitor_ns,
+                                 sim::SimNanos execution_ns) {
+  StageCompletionLocked(session, std::move(completion));
+  ++stats_.statements_executed;
+  if (hit) {
+    ++stats_.plan_cache_hits;
+  } else {
+    ++stats_.plan_cache_misses;
+  }
+  stats_.total_monitor_ns += monitor_ns;
+  stats_.total_execution_ns += execution_ns;
+  stats_.total_serve_ns = serve_cost_.elapsed_ns();
+  IRONSAFE_COUNTER_ADD("server.statements.executed", 1);
+}
+
 void QueryService::StageCompletionLocked(Session& session,
                                          Completion completion) {
   // Ordered emitter: completions become visible in submission order no
@@ -762,21 +702,6 @@ void QueryService::StageCompletionLocked(Session& session,
     session.staged.erase(it);
     ++session.next_emit_seq;
   }
-}
-
-void QueryService::FinishExecutedLocked(bool plan_cache_hit,
-                                        sim::SimNanos monitor_ns,
-                                        sim::SimNanos execution_ns) {
-  ++stats_.statements_executed;
-  if (plan_cache_hit) {
-    ++stats_.plan_cache_hits;
-  } else {
-    ++stats_.plan_cache_misses;
-  }
-  stats_.total_monitor_ns += monitor_ns;
-  stats_.total_execution_ns += execution_ns;
-  stats_.total_serve_ns = serve_cost_.elapsed_ns();
-  IRONSAFE_COUNTER_ADD("server.statements.executed", 1);
 }
 
 void QueryService::EmitStageSpan(std::string_view name, sim::SimNanos start,
@@ -811,14 +736,10 @@ void QueryService::Shutdown() {
   Drain();
   std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
   std::lock_guard<std::mutex> lock(mu_);
+  // The drain left nothing queued, so closing aborts no statement.
   for (auto& [id, session] : sessions_) {
-    if (session.closed) continue;
-    session.closed = true;
-    session.channel->Close();
-    ++stats_.sessions_closed;
-    IRONSAFE_COUNTER_ADD("server.sessions.closed", 1);
+    if (!session.closed) CloseSessionLocked(session, id, "service shut down");
   }
-  obs::GetGauge("server.sessions.active").Set(0);
 }
 
 bool QueryService::draining() const {

@@ -59,6 +59,8 @@ Result<StatementResponse> DecodeStatementResponse(const Bytes& plain);
 /// statement did NOT execute — safe to resubmit on a new session), or
 /// when the session dropped midstream (the statement DID execute but the
 /// response was lost; read-only statements are still safe to resubmit).
+/// A request frame that fails to open or decode completes with that error
+/// (e.g. kCorruption) and did NOT execute.
 /// The latency fields are simulated-timeline measurements: scheduling
 /// delay runs from admission to the scheduler pop, end-to-end from
 /// admission to response delivery (or to the aborting event).
@@ -181,7 +183,7 @@ class QueryService {
     uint64_t statements_admitted = 0;
     uint64_t statements_rejected = 0;  ///< admission backpressure
     uint64_t statements_executed = 0;
-    uint64_t statements_aborted = 0;   ///< completed kUnavailable
+    uint64_t statements_aborted = 0;   ///< completed without a response
     uint64_t plan_cache_hits = 0;
     uint64_t plan_cache_misses = 0;
     size_t peak_queue_depth = 0;
@@ -210,7 +212,7 @@ class QueryService {
     // so Send must happen in submission order per session) ----
     uint64_t next_encode_seq = 0;
     std::map<uint64_t, uint64_t> parked_encode;  ///< seq -> token
-    std::set<uint64_t> encode_skipped;  ///< seqs resolved without a Send
+    std::set<uint64_t> encode_released;  ///< seqs done with the barrier
     /// Streams of one session serialize on its downlink.
     sim::SimNanos stream_busy_until = 0;
   };
@@ -226,10 +228,11 @@ class QueryService {
     std::string client_key;
     StatementRequest request;
     StatementResponse response;
-    bool failed = false;  ///< terminal before a sealed response
+    /// Not OK once the statement can no longer produce a sealed response.
     Status transport = Status::OK();
+    /// The authorization the execute stage runs: a plan-cache hit, or the
+    /// fresh one (shared with the cache when it is cacheable).
     std::shared_ptr<const CachedPlan> plan;
-    engine::IronSafeSystem::Authorized fresh;
     Bytes session_key;
     sim::SimNanos monitor_ns = 0;
     Bytes frame;  ///< sealed response, produced by the encode stage
@@ -244,27 +247,42 @@ class QueryService {
   sim::SimNanos RunAuthorize(uint64_t token, sim::SimNanos start);
   void AuthorizeDone(uint64_t token, sim::SimNanos end);
   sim::SimNanos RunExecute(uint64_t token, sim::SimNanos start);
-  void ExecuteDone(uint64_t token, sim::SimNanos end);
   sim::SimNanos RunEncode(uint64_t token, sim::SimNanos start);
-  void EncodeDone(uint64_t token, sim::SimNanos end);
   /// Routes a token to the encode stage, honoring the per-session seq
   /// barrier (parks it when an earlier seq has not encoded yet).
   void RouteToEncode(uint64_t token);
-  /// Completes a token that never produced a sealed response.
-  void ResolveAborted(uint64_t token, sim::SimNanos end);
+  /// Takes a token out of the pipeline at `end` (after encode, or after a
+  /// failed decode): releases its seq at the encode barrier, then aborts
+  /// it or schedules delivery of its sealed response.
+  void Retire(uint64_t token, sim::SimNanos end);
   /// Schedules delivery of a sealed response: immediate completion for
   /// single-frame responses, a chunked credit-window schedule (plus the
   /// midstream-drop / stream-stall fault sites) for larger ones.
   void ScheduleDelivery(Inflight state, sim::SimNanos encode_end);
 
   // ---- shared helpers ----
+  /// Weight and client-registry checks for a session about to open.
+  /// Requires mu_.
+  Status CheckSessionLocked(const std::string& client_key_id,
+                            uint32_t weight) const;
+  /// Registers an open session around its service-side channel; returns
+  /// its id. Requires mu_.
+  uint64_t AddSessionLocked(const std::string& client_key_id, uint32_t weight,
+                            std::unique_ptr<net::SecureChannel> channel);
+  /// The two terminal paths of a statement; each stages its completion.
+  /// AbortLocked: no sealed response reaches the client (`why` becomes
+  /// the transport status). Requires mu_.
+  void AbortLocked(Session& session, uint64_t seq, Status why,
+                   sim::SimNanos sched_delay, sim::SimNanos e2e,
+                   uint32_t delivered_chunks = 0);
+  /// DeliverLocked: the sealed response arrived; success bookkeeping.
+  /// Requires mu_.
+  void DeliverLocked(Session& session, Completion completion, bool hit,
+                     sim::SimNanos monitor_ns, sim::SimNanos execution_ns);
   /// Stages `completion` and flushes the contiguous prefix to the
   /// session's visible completion queue. Requires mu_.
   void StageCompletionLocked(Session& session, Completion completion);
-  /// Success bookkeeping for one executed statement. Requires mu_.
-  void FinishExecutedLocked(bool plan_cache_hit, sim::SimNanos monitor_ns,
-                            sim::SimNanos execution_ns);
-  /// Advances the encode barrier past skipped seqs; returns the parked
+  /// Advances the encode barrier past released seqs; returns the parked
   /// token that may now encode, if any. Requires mu_.
   std::optional<uint64_t> AdvanceEncodeLocked(Session& session);
   /// Closes a session in place: zeroizes keys, aborts queued statements.

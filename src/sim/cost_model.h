@@ -79,10 +79,8 @@ class CostModel {
 
   const HardwareProfile& profile() const { return profile_; }
 
-  /// Overrides used by the constrained-resource experiments (Figure 10/11).
+  /// Override used by the constrained-resource experiment (Figure 10).
   void set_storage_cores(int cores) { profile_.storage_cpu.cores = cores; }
-  void set_storage_memory_bytes(uint64_t bytes) { storage_memory_bytes_ = bytes; }
-  uint64_t storage_memory_bytes() const { return storage_memory_bytes_; }
 
   // ---- Charging interface ----
 
@@ -183,7 +181,6 @@ class CostModel {
   SimNanos CryptoCyclesToNs(Site site, uint64_t cycles) const;
 
   HardwareProfile profile_;
-  uint64_t storage_memory_bytes_ = 32ull * 1024 * 1024 * 1024;
 
   SimNanos total_ns_ = 0;
   SimNanos compute_ns_ = 0;

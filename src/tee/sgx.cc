@@ -89,7 +89,7 @@ uint64_t SgxEnclave::TouchMemory(uint64_t region_id, uint64_t bytes,
       // Evict the oldest page; every eviction implies a later fault when
       // that page is touched again, so charging on page-in is equivalent.
       auto victim = fifo_.front();
-      fifo_.erase(fifo_.begin());
+      fifo_.pop_front();
       resident_.erase(victim);
       --resident_bytes_;
       if (cost != nullptr) cost->ChargeEpcFault();

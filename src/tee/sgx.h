@@ -2,6 +2,7 @@
 #define IRONSAFE_TEE_SGX_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <set>
 #include <string>
@@ -79,7 +80,7 @@ class SgxEnclave {
 
   // Simple FIFO resident-set model keyed by (region_id, page index).
   std::set<std::pair<uint64_t, uint64_t>> resident_;
-  std::vector<std::pair<uint64_t, uint64_t>> fifo_;
+  std::deque<std::pair<uint64_t, uint64_t>> fifo_;
   uint64_t resident_bytes_ = 0;  // in pages
 };
 

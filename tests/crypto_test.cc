@@ -54,6 +54,14 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256Test, EmptyUpdateAfterPartialBlockIsANoOp) {
+  Sha256 h;
+  h.Update("ab");
+  h.Update(nullptr, 0);
+  h.Update("c");
+  EXPECT_EQ(h.Final(), Sha256::Hash("abc"));
+}
+
 // ---------- SHA-512 ----------
 
 TEST(Sha512Test, EmptyString) {
@@ -85,6 +93,14 @@ TEST(Sha512Test, IncrementalAcrossBlockBoundary) {
   two.Update(big.substr(0, 127));
   two.Update(big.substr(127));
   EXPECT_EQ(one.Final(), two.Final());
+}
+
+TEST(Sha512Test, EmptyUpdateAfterPartialBlockIsANoOp) {
+  Sha512 h;
+  h.Update("ab");
+  h.Update(nullptr, 0);
+  h.Update("c");
+  EXPECT_EQ(h.Final(), Sha512::Hash("abc"));
 }
 
 // ---------- HMAC (RFC 4231) ----------

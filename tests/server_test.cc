@@ -480,6 +480,34 @@ TEST_F(QueryServiceTest, PolicyRejectionTravelsInsideTheChannel) {
       << response.status.ToString();
 }
 
+TEST_F(QueryServiceTest, UnopenableFrameAbortsOnlyItsOwnStatement) {
+  QueryService service(system_.get(), ServiceOptions{});
+  End c0 = Open(service, "c0");
+  auto bad = service.Submit(c0.id, ToBytes("not a sealed frame"));
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  auto good = service.Submit(
+      c0.id, SealRequest(c0, "SELECT owner FROM accounts WHERE id = 3"));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  service.RunUntilIdle();
+
+  // The frame that fails to open aborts unexecuted; the encode barrier
+  // skips its seq, so the next statement still gets its sealed response.
+  auto done = service.TakeCompletions(c0.id);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].seq, *bad);
+  EXPECT_TRUE(done[0].transport.IsCorruption())
+      << done[0].transport.ToString();
+  EXPECT_TRUE(done[0].response_frame.empty());
+  EXPECT_EQ(done[1].seq, *good);
+  StatementResponse response = MustDecode(c0, done[1]);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  ASSERT_EQ(response.result.rows.size(), 1u);
+  EXPECT_EQ(response.result.rows[0][0].AsString(), "user3");
+  QueryService::Stats stats = service.stats();
+  EXPECT_EQ(stats.statements_aborted, 1u);
+  EXPECT_EQ(stats.statements_executed, 1u);
+}
+
 TEST_F(QueryServiceTest, AdmissionBoundsQueueDepthWithRetryableBackpressure) {
   ServiceOptions options;
   options.limits.max_per_session = 2;
