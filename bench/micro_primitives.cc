@@ -61,6 +61,36 @@ void BM_AesCbcEncrypt_4KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_AesCbcEncrypt_4KiB);
 
+// The secure store's read path: one page of CBC decryption.
+void BM_AesCbcDecrypt_4KiB(benchmark::State& state) {
+  Bytes key(32, 1), iv(16, 2), page(4096, 3);
+  Bytes ciphertext = *crypto::AesCbcEncrypt(key, iv, page);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::AesCbcDecrypt(key, iv, ciphertext));
+  }
+  state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_AesCbcDecrypt_4KiB);
+
+// The secure channel's cipher and MAC, at a shipped fragment's scale.
+void BM_AesCtr_64KiB(benchmark::State& state) {
+  Bytes key(32, 1), nonce(16, 2), data(64 * 1024, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::AesCtr(key, nonce, data));
+  }
+  state.SetBytesProcessed(state.iterations() * 64 * 1024);
+}
+BENCHMARK(BM_AesCtr_64KiB);
+
+void BM_HmacSha256_64KiB(benchmark::State& state) {
+  Bytes key(32, 1), data(64 * 1024, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::HmacSha256(key, data));
+  }
+  state.SetBytesProcessed(state.iterations() * 64 * 1024);
+}
+BENCHMARK(BM_HmacSha256_64KiB);
+
 void BM_ChaCha20_4KiB(benchmark::State& state) {
   Bytes key(32, 1), nonce(12, 2), data(4096, 3);
   for (auto _ : state) {

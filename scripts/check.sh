@@ -33,6 +33,9 @@ build_and_test() {
   cmake --build "$dir" -j "$JOBS"
   echo "==> ctest ${dir}"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
+  # Both AES / SHA-256 implementations under this build's sanitizer.
+  echo "==> crypto leg ${dir} (ctest -L crypto)"
+  ctest --test-dir "$dir" -L crypto --output-on-failure -j "$JOBS"
 }
 
 build_and_test build ""

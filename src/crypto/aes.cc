@@ -1,10 +1,24 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "crypto/dispatch.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <wmmintrin.h>
+#define IRONSAFE_HAVE_AESNI 1
+#endif
 
 namespace ironsafe::crypto {
 
 namespace {
+
+// ---------------------------------------------------------------------------
+// Portable implementation. kSbox/kInvSbox are indexed with secret bytes, so
+// it is not constant-time against a cache-timing attacker; it runs only on
+// CPUs without AES-NI (and in the tests that compare the two).
+// ---------------------------------------------------------------------------
 
 constexpr uint8_t kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
@@ -61,16 +75,6 @@ uint8_t Xtime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-uint8_t Mul(uint8_t x, uint8_t y) {
-  uint8_t r = 0;
-  while (y) {
-    if (y & 1) r ^= x;
-    x = Xtime(x);
-    y >>= 1;
-  }
-  return r;
-}
-
 uint32_t SubWord(uint32_t w) {
   return static_cast<uint32_t>(kSbox[w >> 24]) << 24 |
          static_cast<uint32_t>(kSbox[(w >> 16) & 0xff]) << 16 |
@@ -80,49 +84,8 @@ uint32_t SubWord(uint32_t w) {
 
 uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 
-}  // namespace
-
-Result<Aes> Aes::Create(const Bytes& key) {
-  if (key.size() != 16 && key.size() != 32) {
-    return Status::InvalidArgument("AES key must be 16 or 32 bytes");
-  }
-  Aes aes;
-  aes.ExpandKey(key);
-  return aes;
-}
-
-void Aes::ExpandKey(const Bytes& key) {
-  const int nk = static_cast<int>(key.size() / 4);
-  rounds_ = nk + 6;
-  const int total = 4 * (rounds_ + 1);
-
-  for (int i = 0; i < nk; ++i) {
-    round_keys_[i] = static_cast<uint32_t>(key[4 * i]) << 24 |
-                     static_cast<uint32_t>(key[4 * i + 1]) << 16 |
-                     static_cast<uint32_t>(key[4 * i + 2]) << 8 |
-                     static_cast<uint32_t>(key[4 * i + 3]);
-  }
-  for (int i = nk; i < total; ++i) {
-    uint32_t temp = round_keys_[i - 1];
-    if (i % nk == 0) {
-      temp = SubWord(RotWord(temp)) ^
-             (static_cast<uint32_t>(kRcon[i / nk - 1]) << 24);
-    } else if (nk > 6 && i % nk == 4) {
-      temp = SubWord(temp);
-    }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
-  }
-}
-
-namespace {
-
-void AddRoundKey(uint8_t state[16], const uint32_t* rk) {
-  for (int c = 0; c < 4; ++c) {
-    state[4 * c] ^= static_cast<uint8_t>(rk[c] >> 24);
-    state[4 * c + 1] ^= static_cast<uint8_t>(rk[c] >> 16);
-    state[4 * c + 2] ^= static_cast<uint8_t>(rk[c] >> 8);
-    state[4 * c + 3] ^= static_cast<uint8_t>(rk[c]);
-  }
+void AddRoundKey(uint8_t state[16], const uint8_t rk[16]) {
+  for (int i = 0; i < 16; ++i) state[i] ^= rk[i];
 }
 
 void SubBytes(uint8_t state[16]) {
@@ -164,76 +127,342 @@ void MixColumns(uint8_t s[16]) {
   }
 }
 
+// Multiples 9, 11, 13, 14 of one byte from a fixed chain of three xtimes.
+struct InvMultiples {
+  uint8_t m9, m11, m13, m14;
+};
+
+InvMultiples InvMul(uint8_t a) {
+  uint8_t x2 = Xtime(a), x4 = Xtime(x2), x8 = Xtime(x4);
+  return {static_cast<uint8_t>(x8 ^ a), static_cast<uint8_t>(x8 ^ x2 ^ a),
+          static_cast<uint8_t>(x8 ^ x4 ^ a),
+          static_cast<uint8_t>(x8 ^ x4 ^ x2)};
+}
+
 void InvMixColumns(uint8_t s[16]) {
   for (int c = 0; c < 4; ++c) {
     uint8_t* col = s + 4 * c;
-    uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = Mul(a0, 14) ^ Mul(a1, 11) ^ Mul(a2, 13) ^ Mul(a3, 9);
-    col[1] = Mul(a0, 9) ^ Mul(a1, 14) ^ Mul(a2, 11) ^ Mul(a3, 13);
-    col[2] = Mul(a0, 13) ^ Mul(a1, 9) ^ Mul(a2, 14) ^ Mul(a3, 11);
-    col[3] = Mul(a0, 11) ^ Mul(a1, 13) ^ Mul(a2, 9) ^ Mul(a3, 14);
+    InvMultiples a0 = InvMul(col[0]), a1 = InvMul(col[1]),
+                 a2 = InvMul(col[2]), a3 = InvMul(col[3]);
+    col[0] = static_cast<uint8_t>(a0.m14 ^ a1.m11 ^ a2.m13 ^ a3.m9);
+    col[1] = static_cast<uint8_t>(a0.m9 ^ a1.m14 ^ a2.m11 ^ a3.m13);
+    col[2] = static_cast<uint8_t>(a0.m13 ^ a1.m9 ^ a2.m14 ^ a3.m11);
+    col[3] = static_cast<uint8_t>(a0.m11 ^ a1.m13 ^ a2.m9 ^ a3.m14);
   }
+}
+
+void ExpandPortable(const uint8_t* key, size_t key_len, uint8_t (*enc)[16],
+                    uint8_t (*dec)[16]) {
+  const int nk = static_cast<int>(key_len / 4);
+  const int rounds = nk + 6;
+  const int total = 4 * (rounds + 1);
+
+  uint32_t w[4 * 15] = {};
+  for (int i = 0; i < nk; ++i) {
+    w[i] = static_cast<uint32_t>(key[4 * i]) << 24 |
+           static_cast<uint32_t>(key[4 * i + 1]) << 16 |
+           static_cast<uint32_t>(key[4 * i + 2]) << 8 |
+           static_cast<uint32_t>(key[4 * i + 3]);
+  }
+  for (int i = nk; i < total; ++i) {
+    uint32_t temp = w[i - 1];
+    if (i % nk == 0) {
+      temp = SubWord(RotWord(temp)) ^
+             (static_cast<uint32_t>(kRcon[i / nk - 1]) << 24);
+    } else if (nk > 6 && i % nk == 4) {
+      temp = SubWord(temp);
+    }
+    w[i] = w[i - nk] ^ temp;
+  }
+  for (int i = 0; i < total; ++i) {
+    uint8_t* row = enc[i / 4] + 4 * (i % 4);
+    row[0] = static_cast<uint8_t>(w[i] >> 24);
+    row[1] = static_cast<uint8_t>(w[i] >> 16);
+    row[2] = static_cast<uint8_t>(w[i] >> 8);
+    row[3] = static_cast<uint8_t>(w[i]);
+  }
+  // Equivalent inverse cipher (FIPS 197 §5.3.5): the middle round keys
+  // pass through InvMixColumns so decryption rounds mirror encryption's.
+  std::memcpy(dec[0], enc[rounds], 16);
+  for (int r = 1; r < rounds; ++r) {
+    std::memcpy(dec[r], enc[rounds - r], 16);
+    InvMixColumns(dec[r]);
+  }
+  std::memcpy(dec[rounds], enc[0], 16);
+}
+
+void EncryptPortable(const uint8_t (*keys)[16], int rounds, const uint8_t* in,
+                     uint8_t* out, size_t blocks) {
+  for (; blocks > 0; --blocks, in += 16, out += 16) {
+    uint8_t state[16];
+    std::memcpy(state, in, 16);
+    AddRoundKey(state, keys[0]);
+    for (int round = 1; round < rounds; ++round) {
+      SubBytes(state);
+      ShiftRows(state);
+      MixColumns(state);
+      AddRoundKey(state, keys[round]);
+    }
+    SubBytes(state);
+    ShiftRows(state);
+    AddRoundKey(state, keys[rounds]);
+    std::memcpy(out, state, 16);
+  }
+}
+
+void DecryptPortable(const uint8_t (*keys)[16], int rounds, const uint8_t* in,
+                     uint8_t* out, size_t blocks) {
+  for (; blocks > 0; --blocks, in += 16, out += 16) {
+    uint8_t state[16];
+    std::memcpy(state, in, 16);
+    AddRoundKey(state, keys[0]);
+    for (int round = 1; round < rounds; ++round) {
+      InvSubBytes(state);
+      InvShiftRows(state);
+      InvMixColumns(state);
+      AddRoundKey(state, keys[round]);
+    }
+    InvSubBytes(state);
+    InvShiftRows(state);
+    AddRoundKey(state, keys[rounds]);
+    std::memcpy(out, state, 16);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AES-NI implementation: key expansion with AESKEYGENASSIST/AESIMC, and
+// eight independent blocks in flight so the AESENC/AESDEC latency overlaps.
+// ---------------------------------------------------------------------------
+
+#ifdef IRONSAFE_HAVE_AESNI
+
+constexpr size_t kLanes = 8;
+
+__attribute__((target("aes"))) __m128i Load(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+__attribute__((target("aes"))) void Store(uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+// One key-expansion step: prefix-XOR the previous words, then fold in the
+// (already lane-broadcast) AESKEYGENASSIST word.
+__attribute__((target("aes"))) __m128i ExpandStep(__m128i key,
+                                                  __m128i assist) {
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+// The next round key from `prev` (the key Nk words back) and `last` (the
+// latest one): AESKEYGENASSIST takes its round constant as an immediate,
+// and kLane picks RotWord(SubWord(w)) ^ rcon (0xff) or SubWord(w) (0xaa).
+template <int kRcon, int kLane>
+__attribute__((target("aes"))) __m128i NextKey(__m128i prev, __m128i last) {
+  return ExpandStep(
+      prev, _mm_shuffle_epi32(_mm_aeskeygenassist_si128(last, kRcon), kLane));
+}
+
+__attribute__((target("aes"))) void ExpandAesNi(const uint8_t* key,
+                                                size_t key_len,
+                                                uint8_t (*enc)[16],
+                                                uint8_t (*dec)[16]) {
+  __m128i k[15];
+  int rounds = 10;
+  k[0] = Load(key);
+  if (key_len == 16) {
+    k[1] = NextKey<0x01, 0xff>(k[0], k[0]);
+    k[2] = NextKey<0x02, 0xff>(k[1], k[1]);
+    k[3] = NextKey<0x04, 0xff>(k[2], k[2]);
+    k[4] = NextKey<0x08, 0xff>(k[3], k[3]);
+    k[5] = NextKey<0x10, 0xff>(k[4], k[4]);
+    k[6] = NextKey<0x20, 0xff>(k[5], k[5]);
+    k[7] = NextKey<0x40, 0xff>(k[6], k[6]);
+    k[8] = NextKey<0x80, 0xff>(k[7], k[7]);
+    k[9] = NextKey<0x1b, 0xff>(k[8], k[8]);
+    k[10] = NextKey<0x36, 0xff>(k[9], k[9]);
+  } else {
+    rounds = 14;
+    k[1] = Load(key + 16);
+    k[2] = NextKey<0x01, 0xff>(k[0], k[1]);
+    k[3] = NextKey<0x00, 0xaa>(k[1], k[2]);
+    k[4] = NextKey<0x02, 0xff>(k[2], k[3]);
+    k[5] = NextKey<0x00, 0xaa>(k[3], k[4]);
+    k[6] = NextKey<0x04, 0xff>(k[4], k[5]);
+    k[7] = NextKey<0x00, 0xaa>(k[5], k[6]);
+    k[8] = NextKey<0x08, 0xff>(k[6], k[7]);
+    k[9] = NextKey<0x00, 0xaa>(k[7], k[8]);
+    k[10] = NextKey<0x10, 0xff>(k[8], k[9]);
+    k[11] = NextKey<0x00, 0xaa>(k[9], k[10]);
+    k[12] = NextKey<0x20, 0xff>(k[10], k[11]);
+    k[13] = NextKey<0x00, 0xaa>(k[11], k[12]);
+    k[14] = NextKey<0x40, 0xff>(k[12], k[13]);
+  }
+  for (int r = 0; r <= rounds; ++r) Store(enc[r], k[r]);
+  Store(dec[0], k[rounds]);
+  for (int r = 1; r < rounds; ++r) {
+    Store(dec[r], _mm_aesimc_si128(k[rounds - r]));
+  }
+  Store(dec[rounds], k[0]);
+}
+
+// One AESENC/AESDEC round and the final AESENCLAST/AESDECLAST round.
+template <bool kDecrypt>
+__attribute__((target("aes"))) __m128i Round(__m128i block, __m128i key) {
+  if constexpr (kDecrypt) return _mm_aesdec_si128(block, key);
+  return _mm_aesenc_si128(block, key);
+}
+
+template <bool kDecrypt>
+__attribute__((target("aes"))) __m128i LastRound(__m128i block, __m128i key) {
+  if constexpr (kDecrypt) return _mm_aesdeclast_si128(block, key);
+  return _mm_aesenclast_si128(block, key);
+}
+
+template <bool kDecrypt>
+__attribute__((target("aes"))) void CryptAesNi(const uint8_t (*keys)[16],
+                                               int rounds, const uint8_t* in,
+                                               uint8_t* out, size_t blocks) {
+  __m128i k[15];
+  for (int r = 0; r <= rounds; ++r) k[r] = Load(keys[r]);
+  for (; blocks >= kLanes; blocks -= kLanes) {
+    __m128i b[kLanes];
+#pragma GCC unroll 8
+    for (size_t i = 0; i < kLanes; ++i) {
+      b[i] = _mm_xor_si128(Load(in + 16 * i), k[0]);
+    }
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (size_t i = 0; i < kLanes; ++i) b[i] = Round<kDecrypt>(b[i], k[r]);
+    }
+#pragma GCC unroll 8
+    for (size_t i = 0; i < kLanes; ++i) {
+      Store(out + 16 * i, LastRound<kDecrypt>(b[i], k[rounds]));
+    }
+    in += 16 * kLanes;
+    out += 16 * kLanes;
+  }
+  for (; blocks > 0; --blocks, in += 16, out += 16) {
+    __m128i b = _mm_xor_si128(Load(in), k[0]);
+    for (int r = 1; r < rounds; ++r) b = Round<kDecrypt>(b, k[r]);
+    Store(out, LastRound<kDecrypt>(b, k[rounds]));
+  }
+}
+
+constexpr internal::AesImpl kAesNi = {"aes_ni", ExpandAesNi,
+                                      CryptAesNi<false>, CryptAesNi<true>};
+
+#endif  // IRONSAFE_HAVE_AESNI
+
+// out[i] = a[i] ^ b[i]; `out` may equal `a`.
+void XorBytes(const uint8_t* a, const uint8_t* b, uint8_t* out, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t x, y;
+    std::memcpy(&x, a + i, 8);
+    std::memcpy(&y, b + i, 8);
+    x ^= y;
+    std::memcpy(out + i, &x, 8);
+  }
+  for (; i < n; ++i) out[i] = a[i] ^ b[i];
 }
 
 }  // namespace
 
-void Aes::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
-  uint8_t state[16];
-  std::memcpy(state, in, 16);
-  AddRoundKey(state, round_keys_);
-  for (int round = 1; round < rounds_; ++round) {
-    SubBytes(state);
-    ShiftRows(state);
-    MixColumns(state);
-    AddRoundKey(state, round_keys_ + 4 * round);
-  }
-  SubBytes(state);
-  ShiftRows(state);
-  AddRoundKey(state, round_keys_ + 4 * rounds_);
-  std::memcpy(out, state, 16);
+namespace internal {
+
+const AesImpl kPortableAes = {"portable", ExpandPortable, EncryptPortable,
+                              DecryptPortable};
+
+const AesImpl* HardwareAes() {
+#ifdef IRONSAFE_HAVE_AESNI
+  static const AesImpl* const impl = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") ? &kAesNi : nullptr;
+  }();
+  return impl;
+#else
+  return nullptr;
+#endif
 }
 
-void Aes::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
-  uint8_t state[16];
-  std::memcpy(state, in, 16);
-  AddRoundKey(state, round_keys_ + 4 * rounds_);
-  for (int round = rounds_ - 1; round >= 1; --round) {
-    InvShiftRows(state);
-    InvSubBytes(state);
-    AddRoundKey(state, round_keys_ + 4 * round);
-    InvMixColumns(state);
-  }
-  InvShiftRows(state);
-  InvSubBytes(state);
-  AddRoundKey(state, round_keys_);
-  std::memcpy(out, state, 16);
+const AesImpl& DefaultAes() {
+  const AesImpl* hardware = HardwareAes();
+  return hardware != nullptr ? *hardware : kPortableAes;
 }
 
-Result<Bytes> AesCbcEncrypt(const Bytes& key, const Bytes& iv,
+Result<Aes> CreateAes(const Bytes& key, const AesImpl& impl) {
+  if (key.size() != 16 && key.size() != 32) {
+    return Status::InvalidArgument("AES key must be 16 or 32 bytes");
+  }
+  Aes aes(&impl);
+  aes.rounds_ = static_cast<int>(key.size() / 4) + 6;
+  impl.expand(key.data(), key.size(), aes.enc_keys_, aes.dec_keys_);
+  return aes;
+}
+
+}  // namespace internal
+
+Result<Aes> Aes::Create(const Bytes& key) {
+  return internal::CreateAes(key, internal::DefaultAes());
+}
+
+void Aes::EncryptBlocks(const uint8_t* in, uint8_t* out, size_t blocks) const {
+  impl_->encrypt(enc_keys_, rounds_, in, out, blocks);
+}
+
+void Aes::DecryptBlocks(const uint8_t* in, uint8_t* out, size_t blocks) const {
+  impl_->decrypt(dec_keys_, rounds_, in, out, blocks);
+}
+
+void Aes::CtrXor(const uint8_t counter[16], const uint8_t* in, uint8_t* out,
+                 size_t len) const {
+  // The keystream is made a chunk at a time on the stack, so memory stays
+  // bounded however long the message is.
+  constexpr size_t kChunkBlocks = 32;
+  alignas(16) uint8_t keystream[kChunkBlocks * kBlockSize];
+  uint64_t low = 0;
+  for (int i = 8; i < 16; ++i) low = low << 8 | counter[i];
+  while (len > 0) {
+    size_t n = std::min(len, sizeof(keystream));
+    size_t blocks = (n + kBlockSize - 1) / kBlockSize;
+    for (size_t b = 0; b < blocks; ++b, ++low) {
+      uint8_t* block = keystream + kBlockSize * b;
+      std::memcpy(block, counter, 8);
+      for (int i = 0; i < 8; ++i) {
+        block[8 + i] = static_cast<uint8_t>(low >> (56 - 8 * i));
+      }
+    }
+    EncryptBlocks(keystream, keystream, blocks);
+    XorBytes(in, keystream, out, n);
+    in += n;
+    out += n;
+    len -= n;
+  }
+}
+
+Result<Bytes> AesCbcEncrypt(const Aes& aes, const Bytes& iv,
                             const Bytes& plaintext) {
   if (iv.size() != Aes::kBlockSize) {
     return Status::InvalidArgument("CBC IV must be 16 bytes");
   }
-  ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
-
-  // PKCS#7 pad.
+  // PKCS#7 pad, then chain in place.
   size_t pad = Aes::kBlockSize - plaintext.size() % Aes::kBlockSize;
-  Bytes padded = plaintext;
-  padded.insert(padded.end(), pad, static_cast<uint8_t>(pad));
-
-  Bytes out(padded.size());
-  uint8_t prev[16];
-  std::memcpy(prev, iv.data(), 16);
-  for (size_t off = 0; off < padded.size(); off += 16) {
-    uint8_t block[16];
-    for (int i = 0; i < 16; ++i) block[i] = padded[off + i] ^ prev[i];
-    aes.EncryptBlock(block, out.data() + off);
-    std::memcpy(prev, out.data() + off, 16);
+  Bytes out(plaintext.size() + pad, static_cast<uint8_t>(pad));
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  const uint8_t* prev = iv.data();
+  for (size_t off = 0; off < out.size(); off += Aes::kBlockSize) {
+    uint8_t* block = out.data() + off;
+    XorBytes(block, prev, block, Aes::kBlockSize);
+    aes.EncryptBlock(block, block);
+    prev = block;
   }
   return out;
 }
 
-Result<Bytes> AesCbcDecrypt(const Bytes& key, const Bytes& iv,
+Result<Bytes> AesCbcDecrypt(const Aes& aes, const Bytes& iv,
                             const Bytes& ciphertext) {
   if (iv.size() != Aes::kBlockSize) {
     return Status::InvalidArgument("CBC IV must be 16 bytes");
@@ -241,17 +470,13 @@ Result<Bytes> AesCbcDecrypt(const Bytes& key, const Bytes& iv,
   if (ciphertext.empty() || ciphertext.size() % Aes::kBlockSize != 0) {
     return Status::InvalidArgument("CBC ciphertext not block aligned");
   }
-  ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
-
+  // Every block decrypts independently; the chaining XOR follows.
   Bytes out(ciphertext.size());
-  uint8_t prev[16];
-  std::memcpy(prev, iv.data(), 16);
-  for (size_t off = 0; off < ciphertext.size(); off += 16) {
-    uint8_t block[16];
-    aes.DecryptBlock(ciphertext.data() + off, block);
-    for (int i = 0; i < 16; ++i) out[off + i] = block[i] ^ prev[i];
-    std::memcpy(prev, ciphertext.data() + off, 16);
-  }
+  aes.DecryptBlocks(ciphertext.data(), out.data(),
+                    ciphertext.size() / Aes::kBlockSize);
+  XorBytes(out.data(), iv.data(), out.data(), Aes::kBlockSize);
+  XorBytes(out.data() + Aes::kBlockSize, ciphertext.data(),
+           out.data() + Aes::kBlockSize, ciphertext.size() - Aes::kBlockSize);
 
   uint8_t pad = out.back();
   if (pad == 0 || pad > Aes::kBlockSize || pad > out.size()) {
@@ -264,25 +489,25 @@ Result<Bytes> AesCbcDecrypt(const Bytes& key, const Bytes& iv,
   return out;
 }
 
+Result<Bytes> AesCbcEncrypt(const Bytes& key, const Bytes& iv,
+                            const Bytes& plaintext) {
+  ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
+  return AesCbcEncrypt(aes, iv, plaintext);
+}
+
+Result<Bytes> AesCbcDecrypt(const Bytes& key, const Bytes& iv,
+                            const Bytes& ciphertext) {
+  ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
+  return AesCbcDecrypt(aes, iv, ciphertext);
+}
+
 Result<Bytes> AesCtr(const Bytes& key, const Bytes& nonce, const Bytes& data) {
   if (nonce.size() != Aes::kBlockSize) {
     return Status::InvalidArgument("CTR nonce must be 16 bytes");
   }
   ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
-
   Bytes out(data.size());
-  uint8_t counter[16];
-  std::memcpy(counter, nonce.data(), 16);
-  uint8_t keystream[16];
-  for (size_t off = 0; off < data.size(); off += 16) {
-    aes.EncryptBlock(counter, keystream);
-    size_t n = std::min<size_t>(16, data.size() - off);
-    for (size_t i = 0; i < n; ++i) out[off + i] = data[off + i] ^ keystream[i];
-    // Increment the big-endian counter in the low 8 bytes.
-    for (int i = 15; i >= 8; --i) {
-      if (++counter[i] != 0) break;
-    }
-  }
+  aes.CtrXor(nonce.data(), data.data(), out.data(), data.size());
   return out;
 }
 

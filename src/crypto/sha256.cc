@@ -2,6 +2,13 @@
 
 #include <cstring>
 
+#include "crypto/dispatch.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define IRONSAFE_HAVE_SHANI 1
+#endif
+
 namespace ironsafe::crypto {
 
 namespace {
@@ -21,9 +28,143 @@ constexpr uint32_t kK[64] = {
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+void CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<uint32_t>(data[i * 4]) << 24 |
+             static_cast<uint32_t>(data[i * 4 + 1]) << 16 |
+             static_cast<uint32_t>(data[i * 4 + 2]) << 8 |
+             static_cast<uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef IRONSAFE_HAVE_SHANI
+
+// SHA-NI keeps the working variables as two vectors, ABEF and CDGH, and
+// runs two rounds per SHA256RNDS2; SHA256MSG1/MSG2 extend the message
+// schedule four words at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t* data, size_t blocks) {
+  // Byte swap of each 32-bit word (the message is big-endian).
+  const __m128i kBswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    // msg[g % 4] holds schedule words 4g..4g+3 once group g is reached.
+    __m128i msg[4];
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          kBswap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]).
+        __m128i x = _mm_sha256msg1_epu32(msg[g & 3], msg[(g + 1) & 3]);
+        x = _mm_add_epi32(x, _mm_alignr_epi8(msg[(g + 3) & 3],
+                                             msg[(g + 2) & 3], 4));
+        msg[g & 3] = _mm_sha256msg2_epu32(x, msg[(g + 3) & 3]);
+      }
+      __m128i wk = _mm_add_epi32(
+          msg[g & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+constexpr internal::Sha256Impl kShaNi = {"sha_ni", CompressShaNi};
+
+#endif  // IRONSAFE_HAVE_SHANI
+
 }  // namespace
 
-Sha256::Sha256() { Reset(); }
+namespace internal {
+
+const Sha256Impl kPortableSha256 = {"portable", CompressPortable};
+
+const Sha256Impl* HardwareSha256() {
+#ifdef IRONSAFE_HAVE_SHANI
+  static const Sha256Impl* const impl = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+                   __builtin_cpu_supports("ssse3")
+               ? &kShaNi
+               : nullptr;
+  }();
+  return impl;
+#else
+  return nullptr;
+#endif
+}
+
+const Sha256Impl& DefaultSha256() {
+  const Sha256Impl* hardware = HardwareSha256();
+  return hardware != nullptr ? *hardware : kPortableSha256;
+}
+
+Sha256 MakeSha256(const Sha256Impl& impl) { return Sha256(&impl); }
+
+}  // namespace internal
+
+Sha256::Sha256() : Sha256(&internal::DefaultSha256()) {}
+
+Sha256::Sha256(const internal::Sha256Impl* impl) : impl_(impl) { Reset(); }
 
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
@@ -38,50 +179,6 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(block[i * 4]) << 24 |
-           static_cast<uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<uint32_t>(block[i * 4 + 2]) << 8 |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const uint8_t* data, size_t len) {
   if (len == 0) return;  // `data` may be null; memcpy from null is UB
   total_len_ += len;
@@ -92,14 +189,15 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      impl_->compress(state_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
+  if (len >= kBlockSize) {
+    size_t blocks = len / kBlockSize;
+    impl_->compress(state_, data, blocks);
+    data += blocks * kBlockSize;
+    len -= blocks * kBlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_, data, len);

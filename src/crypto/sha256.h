@@ -8,7 +8,15 @@
 
 namespace ironsafe::crypto {
 
-/// Incremental SHA-256 (FIPS 180-4).
+class Sha256;
+namespace internal {
+struct Sha256Impl;
+Sha256 MakeSha256(const Sha256Impl& impl);
+}  // namespace internal
+
+/// Incremental SHA-256 (FIPS 180-4). Compresses on SHA-NI when the CPU
+/// has it (checked once per process), else on portable code; both give
+/// identical digests.
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
@@ -33,8 +41,10 @@ class Sha256 {
   static Bytes Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
+  friend Sha256 internal::MakeSha256(const internal::Sha256Impl& impl);
+  explicit Sha256(const internal::Sha256Impl* impl);
 
+  const internal::Sha256Impl* impl_;
   uint32_t state_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[kBlockSize];

@@ -142,7 +142,8 @@ class QueryService {
       const std::vector<SessionSpec>& specs);
 
   /// Closes a session: zeroizes the service-side channel keys and
-  /// completes any still-queued statements with kUnavailable.
+  /// completes any still-queued statements with kUnavailable. The
+  /// service forgets the session once its last completion is taken.
   Status CloseSession(uint64_t session_id);
 
   /// Changes the session's SLO weight for statements admitted from now
@@ -193,6 +194,9 @@ class QueryService {
     sim::SimNanos total_sched_delay_ns = 0;
     uint64_t stream_chunks = 0;        ///< chunks across streamed responses
     sim::SimNanos stream_stall_ns = 0; ///< flow-control stall, summed
+    /// Sessions the service still holds: open ones, and closed ones whose
+    /// completions the client has not taken yet.
+    size_t sessions_held = 0;
   };
   Stats stats() const;
 
@@ -289,6 +293,11 @@ class QueryService {
   /// Requires mu_.
   void CloseSessionLocked(Session& session, uint64_t session_id,
                           std::string_view reason);
+  /// Erases a closed session once nothing of it remains: every admitted
+  /// statement has emitted its completion (so none is queued, in the
+  /// pipeline or awaiting delivery) and the client has taken them all.
+  /// Requires mu_.
+  void EraseIfFinishedLocked(std::map<uint64_t, Session>::iterator it);
   void EmitStageSpan(std::string_view name, sim::SimNanos start,
                      sim::SimNanos end, int lane);
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/bytes.h"
 #include "crypto/aead.h"
 #include "crypto/aes.h"
 #include "crypto/chacha20.h"
+#include "crypto/dispatch.h"
 #include "crypto/ed25519.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -251,6 +256,169 @@ TEST(AesTest, Sp80038aCtr256) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, pt);
 }
+
+// ---------- Known answers on every implementation ----------
+//
+// Each vector runs on the portable code and, when the CPU has the
+// instructions, on AES-NI / SHA-NI (crypto/dispatch.h).
+
+std::vector<const internal::AesImpl*> AesImpls() {
+  std::vector<const internal::AesImpl*> impls = {&internal::kPortableAes};
+  if (internal::HardwareAes() != nullptr) {
+    impls.push_back(internal::HardwareAes());
+  }
+  return impls;
+}
+
+std::vector<const internal::Sha256Impl*> Sha256Impls() {
+  std::vector<const internal::Sha256Impl*> impls = {&internal::kPortableSha256};
+  if (internal::HardwareSha256() != nullptr) {
+    impls.push_back(internal::HardwareSha256());
+  }
+  return impls;
+}
+
+template <typename Impl>
+std::string ImplName(const ::testing::TestParamInfo<const Impl*>& info) {
+  return info.param->name;
+}
+
+class AesKat : public ::testing::TestWithParam<const internal::AesImpl*> {
+ protected:
+  Aes Make(const Bytes& key) {
+    auto aes = internal::CreateAes(key, *GetParam());
+    EXPECT_TRUE(aes.ok());
+    return *aes;
+  }
+};
+
+TEST_P(AesKat, Fips197Blocks) {
+  Bytes pt = Hx("00112233445566778899aabbccddeeff");
+  struct {
+    const char* key;
+    const char* ct;
+  } cases[] = {
+      {"000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+      {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+       "8ea2b7ca516745bfeafc49904b496089"},
+  };
+  for (const auto& c : cases) {
+    Aes aes = Make(Hx(c.key));
+    uint8_t ct[16], back[16];
+    aes.EncryptBlock(pt.data(), ct);
+    EXPECT_EQ(HexEncode(ct, 16), c.ct);
+    aes.DecryptBlock(ct, back);
+    EXPECT_EQ(HexEncode(back, 16), HexEncode(pt));
+  }
+}
+
+// NIST SP 800-38A F.1 plaintext, shared by the CBC and CTR vectors.
+constexpr const char* kSp80038aPlaintext =
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710";
+
+// F.2.1/F.2.2 (CBC-AES128) and F.2.5/F.2.6 (CBC-AES256), all four blocks.
+TEST_P(AesKat, Sp80038aCbcAllBlocks) {
+  Bytes iv = Hx("000102030405060708090a0b0c0d0e0f");
+  Bytes pt = Hx(kSp80038aPlaintext);
+  struct {
+    const char* key;
+    const char* ct;
+  } cases[] = {
+      {"2b7e151628aed2a6abf7158809cf4f3c",
+       "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
+       "73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7"},
+      {"603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+       "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d"
+       "39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b"},
+  };
+  for (const auto& c : cases) {
+    Aes aes = Make(Hx(c.key));
+    auto ct = AesCbcEncrypt(aes, iv, pt);
+    ASSERT_TRUE(ct.ok());
+    // The four NIST blocks, then the PKCS#7 padding block.
+    ASSERT_EQ(ct->size(), pt.size() + 16);
+    EXPECT_EQ(HexEncode(ct->data(), pt.size()), c.ct);
+    auto back = AesCbcDecrypt(aes, iv, *ct);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, pt);
+
+    // Decryption of the bare NIST ciphertext: P_i = D(C_i) ^ C_{i-1}.
+    Bytes nist_ct = Hx(c.ct);
+    Bytes plain(nist_ct.size());
+    aes.DecryptBlocks(nist_ct.data(), plain.data(), 4);
+    for (size_t i = 0; i < plain.size(); ++i) {
+      plain[i] ^= i < 16 ? iv[i] : nist_ct[i - 16];
+    }
+    EXPECT_EQ(plain, pt);
+  }
+}
+
+// F.5.5/F.5.6 (CTR-AES256), all four blocks, out of place and in place.
+TEST_P(AesKat, Sp80038aCtr256AllBlocks) {
+  Aes aes = Make(
+      Hx("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"));
+  Bytes counter = Hx("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+  Bytes pt = Hx(kSp80038aPlaintext);
+  const std::string expected =
+      "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+      "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6";
+  Bytes ct(pt.size());
+  aes.CtrXor(counter.data(), pt.data(), ct.data(), pt.size());
+  EXPECT_EQ(HexEncode(ct), expected);
+  aes.CtrXor(counter.data(), ct.data(), ct.data(), ct.size());
+  EXPECT_EQ(ct, pt);
+}
+
+INSTANTIATE_TEST_SUITE_P(Impls, AesKat, ::testing::ValuesIn(AesImpls()),
+                         ImplName<internal::AesImpl>);
+
+class Sha256Kat
+    : public ::testing::TestWithParam<const internal::Sha256Impl*> {};
+
+TEST_P(Sha256Kat, ShortVectors) {
+  struct {
+    const char* msg;
+    const char* digest;
+  } cases[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+  };
+  for (const auto& c : cases) {
+    Sha256 h = internal::MakeSha256(*GetParam());
+    h.Update(std::string_view(c.msg));
+    EXPECT_EQ(HexEncode(h.Final()), c.digest) << c.msg;
+  }
+}
+
+// One million 'a's, in one call and through odd-sized Update splits that
+// straddle block boundaries every way.
+TEST_P(Sha256Kat, MillionAsAnySplit) {
+  const std::string million(1000000, 'a');
+  const std::string expected =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  Sha256 whole = internal::MakeSha256(*GetParam());
+  whole.Update(million);
+  EXPECT_EQ(HexEncode(whole.Final()), expected);
+
+  const size_t splits[] = {1, 3, 63, 64, 65, 127, 1000, 4097, 65537};
+  Sha256 pieces = internal::MakeSha256(*GetParam());
+  size_t off = 0;
+  for (size_t i = 0; off < million.size(); ++i) {
+    size_t n = std::min(splits[i % std::size(splits)], million.size() - off);
+    pieces.Update(std::string_view(million).substr(off, n));
+    off += n;
+  }
+  EXPECT_EQ(HexEncode(pieces.Final()), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Impls, Sha256Kat, ::testing::ValuesIn(Sha256Impls()),
+                         ImplName<internal::Sha256Impl>);
 
 // ---------- ChaCha20 (RFC 7539 §2.4.2) ----------
 

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "crypto/aead.h"
 #include "crypto/aes.h"
+#include "crypto/dispatch.h"
 #include "crypto/ed25519.h"
 #include "crypto/hmac.h"
+#include "crypto/sha256.h"
 #include "net/secure_channel.h"
 #include "net/wire.h"
 #include "securestore/merkle_tree.h"
@@ -89,6 +93,74 @@ TEST_P(CryptoProperty, HmacIsDeterministicAndKeySeparated) {
   Bytes msg = RandomBytes(&rng, rng.Uniform(1000));
   EXPECT_EQ(crypto::HmacSha256(k1, msg), crypto::HmacSha256(k1, msg));
   EXPECT_NE(crypto::HmacSha256(k1, msg), crypto::HmacSha256(k2, msg));
+}
+
+// The AES-NI and SHA-NI paths must give the portable code's bytes for
+// every key, IV and length: 0-40 blocks covers empty input, the
+// single-block tail and several full 8-block pipeline groups. CTR runs
+// both out of place and in place, and some counters start just below the
+// 64-bit wrap.
+TEST_P(CryptoProperty, HardwareAesMatchesPortable) {
+  const crypto::internal::AesImpl* hardware = crypto::internal::HardwareAes();
+  if (hardware == nullptr) GTEST_SKIP() << "CPU has no AES-NI";
+  Random rng(GetParam());
+  for (int trial = 0; trial < 4; ++trial) {
+    Bytes key = RandomBytes(&rng, rng.Bernoulli(0.5) ? 16 : 32);
+    Bytes iv = RandomBytes(&rng, 16);
+    if (trial % 2 == 1) std::fill(iv.begin() + 8, iv.end() - 1, 0xff);
+    auto hw = crypto::internal::CreateAes(key, *hardware);
+    auto sw = crypto::internal::CreateAes(key, crypto::internal::kPortableAes);
+    ASSERT_TRUE(hw.ok() && sw.ok());
+    for (size_t blocks = 0; blocks <= 40; ++blocks) {
+      const size_t len = 16 * blocks;
+      Bytes pt = RandomBytes(&rng, len);
+      Bytes hw_out(len), sw_out(len);
+      hw->EncryptBlocks(pt.data(), hw_out.data(), blocks);
+      sw->EncryptBlocks(pt.data(), sw_out.data(), blocks);
+      ASSERT_EQ(hw_out, sw_out) << "encrypt, blocks " << blocks;
+      hw->DecryptBlocks(pt.data(), hw_out.data(), blocks);
+      sw->DecryptBlocks(pt.data(), sw_out.data(), blocks);
+      ASSERT_EQ(hw_out, sw_out) << "decrypt, blocks " << blocks;
+
+      // CBC (the padded ciphertext is one block longer than `len`).
+      Bytes msg = RandomBytes(&rng, len == 0 ? 0 : len - rng.Uniform(16));
+      auto hw_ct = crypto::AesCbcEncrypt(*hw, iv, msg);
+      auto sw_ct = crypto::AesCbcEncrypt(*sw, iv, msg);
+      ASSERT_TRUE(hw_ct.ok() && sw_ct.ok());
+      ASSERT_EQ(*hw_ct, *sw_ct) << "cbc, bytes " << msg.size();
+      auto hw_pt = crypto::AesCbcDecrypt(*hw, iv, *sw_ct);
+      auto sw_pt = crypto::AesCbcDecrypt(*sw, iv, *hw_ct);
+      ASSERT_TRUE(hw_pt.ok() && sw_pt.ok());
+      EXPECT_EQ(*hw_pt, msg);
+      EXPECT_EQ(*sw_pt, msg);
+
+      // CTR, including a partial last block; the hardware side in place.
+      Bytes data = RandomBytes(&rng, len + rng.Uniform(16));
+      Bytes sw_ctr(data.size());
+      sw->CtrXor(iv.data(), data.data(), sw_ctr.data(), data.size());
+      Bytes in_place = data;
+      hw->CtrXor(iv.data(), in_place.data(), in_place.data(), in_place.size());
+      ASSERT_EQ(in_place, sw_ctr) << "ctr, bytes " << data.size();
+    }
+  }
+}
+
+TEST_P(CryptoProperty, HardwareSha256MatchesPortable) {
+  const crypto::internal::Sha256Impl* hardware =
+      crypto::internal::HardwareSha256();
+  if (hardware == nullptr) GTEST_SKIP() << "CPU has no SHA-NI";
+  Random rng(GetParam());
+  for (int i = 0; i < 20; ++i) {
+    Bytes msg = RandomBytes(&rng, rng.Uniform(3000));
+    size_t split = msg.empty() ? 0 : rng.Uniform(msg.size());
+    crypto::Sha256 hw = crypto::internal::MakeSha256(*hardware);
+    crypto::Sha256 sw =
+        crypto::internal::MakeSha256(crypto::internal::kPortableSha256);
+    hw.Update(msg.data(), split);
+    hw.Update(msg.data() + split, msg.size() - split);
+    sw.Update(msg);
+    EXPECT_EQ(hw.Final(), sw.Final()) << "bytes " << msg.size();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CryptoProperty,

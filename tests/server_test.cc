@@ -714,6 +714,88 @@ TEST_F(QueryServiceTest, CloseSessionAbortsQueuedWorkAndZeroizesKeys) {
   EXPECT_EQ(stats.sessions_closed, 1u);
 }
 
+TEST_F(QueryServiceTest, ClosedSessionIsForgottenOnceItsCompletionsAreTaken) {
+  // TSan target: one client collects a closed session's completions and
+  // closes another session while a third client keeps submitting and
+  // dispatching.
+  QueryService service(system_.get(), ServiceOptions{});
+  End c0 = Open(service, "c0");
+  End c1 = Open(service, "c1");
+  End c2 = Open(service, "c2");
+  Bytes f1 = SealRequest(c0, "SELECT owner FROM accounts WHERE id = 1");
+  Bytes f2 = SealRequest(c0, "SELECT owner FROM accounts WHERE id = 2");
+  ASSERT_TRUE(service.Submit(c0.id, f1).ok());
+  ASSERT_TRUE(service.Submit(c0.id, f2).ok());
+  ASSERT_TRUE(service.CloseSession(c0.id).ok());
+  Bytes f3 = SealRequest(c2, "SELECT owner FROM accounts WHERE id = 3");
+  Bytes f4 = SealRequest(c2, "SELECT owner FROM accounts WHERE id = 4");
+  ASSERT_TRUE(service.Submit(c2.id, f3).ok());
+  ASSERT_TRUE(service.Submit(c2.id, f4).ok());
+  std::vector<Bytes> c1_frames;
+  for (int i = 0; i < 6; ++i) {
+    c1_frames.push_back(SealRequest(
+        c1, "SELECT owner FROM accounts WHERE id = " + std::to_string(i)));
+  }
+
+  std::vector<Completion> c0_done, c0_again, c2_done, c2_again;
+  Status c0_submit = Status::OK();
+  Status c2_submit = Status::OK();
+  std::thread collector([&] {
+    c0_done = service.TakeCompletions(c0.id);
+    c0_again = service.TakeCompletions(c0.id);
+    c0_submit = service.Submit(c0.id, f1).status();
+    // Races the other thread's dispatch: c2's statements either ran
+    // (sealed response) or were still queued (aborted).
+    if (!service.CloseSession(c2.id).ok()) return;
+    c2_done = service.TakeCompletions(c2.id);
+    c2_again = service.TakeCompletions(c2.id);
+    c2_submit = service.Submit(c2.id, f1).status();
+  });
+  uint64_t c1_admitted = 0;
+  std::thread other([&] {
+    for (const Bytes& frame : c1_frames) {
+      if (service.Submit(c1.id, frame).ok()) ++c1_admitted;
+      service.RunUntilIdle();
+    }
+  });
+  collector.join();
+  other.join();
+  service.RunUntilIdle();
+
+  // The aborted statements come back exactly once, then the session is
+  // gone: a later take is empty and Submit reports it unknown.
+  ASSERT_EQ(c0_done.size(), 2u);
+  for (const Completion& done : c0_done) {
+    EXPECT_TRUE(done.transport.IsUnavailable()) << done.transport.ToString();
+  }
+  EXPECT_TRUE(c0_again.empty());
+  EXPECT_TRUE(c0_submit.IsNotFound()) << c0_submit.ToString();
+  ASSERT_EQ(c2_done.size(), 2u);
+  for (Completion& done : c2_done) {
+    if (done.transport.ok()) {
+      EXPECT_TRUE(MustDecode(c2, done).status.ok());
+    } else {
+      EXPECT_TRUE(done.transport.IsUnavailable()) << done.transport.ToString();
+    }
+  }
+  EXPECT_TRUE(c2_again.empty());
+  EXPECT_TRUE(c2_submit.IsNotFound()) << c2_submit.ToString();
+  EXPECT_EQ(service.stats().sessions_held, 1u);
+
+  // c1 closes with its completions still pending: it stays until they
+  // are taken, and they are all there.
+  ASSERT_TRUE(service.CloseSession(c1.id).ok());
+  EXPECT_EQ(service.stats().sessions_held, 1u);
+  std::vector<Completion> c1_done = service.TakeCompletions(c1.id);
+  EXPECT_EQ(c1_done.size(), c1_admitted);
+  for (Completion& done : c1_done) {
+    EXPECT_TRUE(MustDecode(c1, done).status.ok());
+  }
+  EXPECT_EQ(service.stats().sessions_held, 0u);
+  EXPECT_TRUE(service.TakeCompletions(c1.id).empty());
+  EXPECT_TRUE(service.CloseSession(c1.id).IsNotFound());
+}
+
 TEST_F(QueryServiceTest, ZeroWeightSessionsAreRejectedEverywhere) {
   QueryService service(system_.get(), ServiceOptions{});
   auto zero = service.OpenSession("c0", /*weight=*/0);
