@@ -2,7 +2,8 @@
 # Full verification matrix, runnable locally and in CI:
 #
 #   scripts/check.sh              # default build + ctest (incl. lint_tree),
-#                                 # then ASan and UBSan builds + ctest
+#                                 # the wall-benchmark smoke run, then ASan
+#                                 # and UBSan builds + ctest
 #   scripts/check.sh --fast      # default build + ctest only
 #   scripts/check.sh --tsan      # also run the ThreadSanitizer leg
 #
@@ -91,6 +92,9 @@ if [ "$FAST" -eq 1 ]; then
   echo "OK (fast: default build only)"
   exit 0
 fi
+
+echo "==> wall-benchmark smoke (wallbench/test_run.py builds .bench_build/)"
+python3 wallbench/test_run.py
 
 build_and_test build-asan address
 build_and_test build-ubsan undefined

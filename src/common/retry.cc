@@ -17,25 +17,6 @@ uint64_t BackoffForAttempt(const RetryPolicy& policy, int attempt) {
   return std::min(backoff, policy.max_backoff_ns);
 }
 
-TransientKind ClassifyTransient(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kUnavailable:
-      return TransientKind::kNodeDown;
-    case StatusCode::kResourceExhausted:
-      return TransientKind::kBackpressure;
-    default:
-      return TransientKind::kNone;
-  }
-}
-
-bool IsRetryableTransient(const Status& status) {
-  return ClassifyTransient(status) != TransientKind::kNone;
-}
-
-bool IsBackpressure(const Status& status) {
-  return ClassifyTransient(status) == TransientKind::kBackpressure;
-}
-
 namespace retry_internal {
 
 bool PrepareRetry(const RetryPolicy& policy, int failed_attempt,

@@ -40,24 +40,11 @@ struct RetryPolicy {
 /// initial * multiplier^(attempt-2), capped at max_backoff_ns.
 uint64_t BackoffForAttempt(const RetryPolicy& policy, int attempt);
 
-/// Canonical taxonomy of transient failures for RetryPolicy::retryable
-/// call sites. Both kinds are worth a backoff retry, but they are
-/// distinct conditions with distinct remedies: a node-down failure may
-/// need a different path (re-handshake, host fallback), while
-/// backpressure resolves by waiting for the same path to free capacity.
-enum class TransientKind {
-  kNone,          ///< not transient — return the failure to the caller
-  kNodeDown,      ///< kUnavailable: peer, link, or storage node lost
-  kBackpressure,  ///< kResourceExhausted: admission queue / quota full
-};
-
-TransientKind ClassifyTransient(const Status& status);
-
-/// True for any status worth a backoff retry (node-down or backpressure).
-bool IsRetryableTransient(const Status& status);
-
-/// True only for admission/quota rejections (kResourceExhausted).
-bool IsBackpressure(const Status& status);
+/// True only for admission/quota rejections (kResourceExhausted): the
+/// failure that resolves by waiting for the same path to free capacity.
+inline bool IsBackpressure(const Status& status) {
+  return status.IsResourceExhausted();
+}
 
 namespace retry_internal {
 /// Shared retry-decision core: returns true when attempt `failed_attempt`

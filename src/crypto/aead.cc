@@ -17,13 +17,18 @@ Result<Aead> Aead::Create(const Bytes& key) {
 }
 
 namespace {
-Bytes MacInput(const Bytes& nonce, const Bytes& aad, const Bytes& ciphertext) {
-  Bytes m;
-  Append(&m, nonce);
-  PutU64(&m, aad.size());
-  Append(&m, aad);
-  Append(&m, ciphertext);
-  return m;
+/// HMAC over nonce || aad_len(u64 LE) || aad || ciphertext, each piece
+/// read where it lies.
+Bytes Tag(const Bytes& mac_key, const uint8_t* nonce, const Bytes& aad,
+          const uint8_t* ciphertext, size_t ciphertext_len) {
+  Hmac<Sha256> mac(mac_key);
+  mac.Update(nonce, Aead::kNonceSize);
+  Bytes aad_len;
+  PutU64(&aad_len, aad.size());
+  mac.Update(aad_len);
+  mac.Update(aad);
+  mac.Update(ciphertext, ciphertext_len);
+  return mac.Final();
 }
 }  // namespace
 
@@ -32,14 +37,13 @@ Result<Bytes> Aead::Seal(const Bytes& nonce, const Bytes& aad,
   if (nonce.size() != kNonceSize) {
     return Status::InvalidArgument("AEAD nonce must be 16 bytes");
   }
-  ASSIGN_OR_RETURN(Bytes ciphertext, AesCtr(enc_key_, nonce, plaintext));
-  Bytes tag = HmacSha256(mac_key_, MacInput(nonce, aad, ciphertext));
-
-  Bytes out;
-  out.reserve(kOverhead + ciphertext.size());
-  Append(&out, nonce);
-  Append(&out, ciphertext);
-  Append(&out, tag);
+  ASSIGN_OR_RETURN(Aes aes, Aes::Create(enc_key_));
+  Bytes out(kOverhead + plaintext.size());
+  std::copy(nonce.begin(), nonce.end(), out.begin());
+  uint8_t* ciphertext = out.data() + kNonceSize;
+  aes.CtrXor(nonce.data(), plaintext.data(), ciphertext, plaintext.size());
+  Bytes tag = Tag(mac_key_, nonce.data(), aad, ciphertext, plaintext.size());
+  std::copy(tag.begin(), tag.end(), out.end() - kTagSize);
   return out;
 }
 
@@ -47,15 +51,18 @@ Result<Bytes> Aead::Open(const Bytes& aad, const Bytes& sealed) const {
   if (sealed.size() < kOverhead) {
     return Status::Corruption("sealed message too short");
   }
-  Bytes nonce(sealed.begin(), sealed.begin() + kNonceSize);
-  Bytes ciphertext(sealed.begin() + kNonceSize, sealed.end() - kTagSize);
-  Bytes tag(sealed.end() - kTagSize, sealed.end());
-
-  Bytes expected = HmacSha256(mac_key_, MacInput(nonce, aad, ciphertext));
-  if (!ConstantTimeEqual(expected, tag)) {
+  const uint8_t* nonce = sealed.data();
+  const uint8_t* ciphertext = nonce + kNonceSize;
+  size_t ciphertext_len = sealed.size() - kOverhead;
+  Bytes expected = Tag(mac_key_, nonce, aad, ciphertext, ciphertext_len);
+  if (!ConstantTimeEqual(expected.data(), ciphertext + ciphertext_len,
+                         kTagSize)) {
     return Status::Corruption("AEAD tag mismatch");
   }
-  return AesCtr(enc_key_, nonce, ciphertext);
+  ASSIGN_OR_RETURN(Aes aes, Aes::Create(enc_key_));
+  Bytes plaintext(ciphertext_len);
+  aes.CtrXor(nonce, ciphertext, plaintext.data(), ciphertext_len);
+  return plaintext;
 }
 
 void Aead::Zeroize() {

@@ -1,14 +1,9 @@
 #include "crypto/hmac.h"
 
-#include "crypto/sha256.h"
-#include "crypto/sha512.h"
-
 namespace ironsafe::crypto {
 
-namespace {
-
 template <typename Hash>
-Bytes HmacImpl(const Bytes& key, const Bytes& message) {
+Hmac<Hash>::Hmac(const Bytes& key) {
   constexpr size_t kBlock = Hash::kBlockSize;
   Bytes k = key;
   if (k.size() > kBlock) k = Hash::Hash(k);
@@ -19,26 +14,29 @@ Bytes HmacImpl(const Bytes& key, const Bytes& message) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-
-  Hash inner;
-  inner.Update(ipad);
-  inner.Update(message);
-  Bytes inner_digest = inner.Final();
-
-  Hash outer;
-  outer.Update(opad);
-  outer.Update(inner_digest);
-  return outer.Final();
+  inner_.Update(ipad);
+  outer_.Update(opad);
 }
 
-}  // namespace
+template <typename Hash>
+Bytes Hmac<Hash>::Final() {
+  outer_.Update(inner_.Final());
+  return outer_.Final();
+}
+
+template class Hmac<Sha256>;
+template class Hmac<Sha512>;
 
 Bytes HmacSha256(const Bytes& key, const Bytes& message) {
-  return HmacImpl<Sha256>(key, message);
+  Hmac<Sha256> mac(key);
+  mac.Update(message);
+  return mac.Final();
 }
 
 Bytes HmacSha512(const Bytes& key, const Bytes& message) {
-  return HmacImpl<Sha512>(key, message);
+  Hmac<Sha512> mac(key);
+  mac.Update(message);
+  return mac.Final();
 }
 
 bool VerifyHmacSha256(const Bytes& key, const Bytes& message,

@@ -148,13 +148,11 @@ Status ShardedCsaFleet::Load(
   // Keep the paper's database:EPC pressure ratio against one logical
   // copy of the data (replicas don't raise host EPC pressure), and give
   // each node its secure-read profile for its own store.
-  if (options_.scale_epc_to_data) {
-    uint64_t data_bytes = 0;
-    for (int g = 0; g < options_.shard_count; ++g) {
-      data_bytes += node(g, 0).data_bytes();
-    }
-    options_.hardware.sgx.epc_bytes = engine::ScaledEpcBytes(data_bytes);
+  uint64_t data_bytes = 0;
+  for (int g = 0; g < options_.shard_count; ++g) {
+    data_bytes += node(g, 0).data_bytes();
   }
+  hardware_.sgx.epc_bytes = engine::ScaledEpcBytes(data_bytes);
   for (engine::SecureStorageNode& n : nodes_) n.ProfileSecureReads();
   return Status::OK();
 }
@@ -178,7 +176,7 @@ bool ShardedCsaFleet::CoLocated(const std::string& a,
 
 Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   FleetOutcome outcome;
-  outcome.cost = sim::CostModel(options_.hardware);
+  outcome.cost = sim::CostModel(hardware_);
   obs::SpanGuard query_span("query", "dist", &outcome.cost);
   query_span.Tag("shards", static_cast<int64_t>(options_.shard_count));
 
@@ -203,8 +201,9 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
 
   // Cold per-query engine state on every node, as in the single-node
   // testbed: counters, page cache, storage-site crypto accounting.
+  const engine::CsaOptions node_options;
   for (engine::SecureStorageNode& n : nodes_) {
-    n.BeginQuery(options_.storage_memory_bytes);
+    n.BeginQuery(node_options.storage_memory_bytes);
   }
   engine::SplitExecution split(
       {.span_category = "dist",
@@ -212,7 +211,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
        .rehandshake_counter = "dist.channel.rehandshakes",
        .corrupt_fault_site = sim::fault_site::kDistFragmentCorrupt,
        .storage_exec = engine::StorageExecOptions(
-           options_.storage_cores, options_.storage_memory_bytes,
+           node_options.storage_cores, node_options.storage_memory_bytes,
            /*oblivious=*/false),
        .host_enclave = host_enclave_.get(),
        .rekey_drbg = &channel_drbg_},
@@ -225,7 +224,7 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   // (MergeParallelTimelines). This keeps traces and costs bit-identical
   // for every real worker count while still modelling the scale-out.
   std::vector<sim::CostModel> children(groups,
-                                       sim::CostModel(options_.hardware));
+                                       sim::CostModel(hardware_));
   std::vector<int> selected(groups, 0);  // current replica per group
   std::vector<std::vector<sql::QueryResult>> shipped(plan.fragments.size());
   for (auto& s : shipped) s.resize(groups);
@@ -334,12 +333,10 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   merge_span.Close();
 
   // Host phase: the remainder (or the partial re-aggregation) over the
-  // merged intermediates, inside the host enclave.
-  sql::ExecOptions host_opts;  // host site
-  host_opts.parallelism = options_.host_parallelism;
+  // merged intermediates, inside the host enclave on one query thread.
   ASSIGN_OR_RETURN(outcome.result,
                    split.RunHostPhase(host_db.get(), *plan.host_query,
-                                      host_opts, &outcome.stats));
+                                      sql::ExecOptions{}, &outcome.stats));
   outcome.host_phase_ns = outcome.cost.elapsed_ns() - outcome.storage_phase_ns;
   return outcome;
 }

@@ -18,17 +18,13 @@
 
 namespace ironsafe::dist {
 
-/// Fleet shape and testbed knobs. Per-node resources mirror CsaOptions;
-/// the fleet-specific knobs are the shard/replica counts and the table
-/// partition scheme (src/tpch's TpchPartitionScheme for the benchmarks).
+/// Fleet shape: the shard/replica counts and the table partition scheme
+/// (src/tpch's TpchPartitionScheme for the benchmarks). Every storage node
+/// runs with the default CsaOptions cores and memory budget, the host EPC
+/// is scaled to the loaded data, and the host phase runs one query thread.
 struct FleetOptions {
   int shard_count = 4;
   int replicas_per_shard = 2;
-  sim::HardwareProfile hardware = sim::HardwareProfile::Paper();
-  int storage_cores = 16;              ///< per storage node
-  uint64_t storage_memory_bytes = 32ull * 1024 * 1024 * 1024;  ///< per node
-  bool scale_epc_to_data = true;
-  int host_parallelism = 1;
   /// Opt-in distributed partial aggregation (PlannerOptions).
   bool partial_aggregation = false;
   /// Tables absent from the scheme are replicated to every node.
@@ -80,8 +76,6 @@ class ShardedCsaFleet {
   /// channel and re-sends.
   Result<FleetOutcome> Run(const std::string& sql);
 
-  const FleetOptions& options() const { return options_; }
-  int shard_count() const { return options_.shard_count; }
   int replicas_per_shard() const { return options_.replicas_per_shard; }
 
   /// True when `a` and `b`'s loaded slices co-locate joining keys (same
@@ -89,12 +83,10 @@ class ShardedCsaFleet {
   /// predicate.
   bool CoLocated(const std::string& a, const std::string& b) const;
 
-  /// Per-query sweep knobs (cost model only, like CsaSystem's).
-  void set_storage_cores(int cores) { options_.storage_cores = cores; }
+  /// Per-query planner knob (FleetOptions::partial_aggregation).
   void set_partial_aggregation(bool on) {
     options_.partial_aggregation = on;
   }
-  void set_host_parallelism(int n) { options_.host_parallelism = n; }
 
   sql::Database* node_db(int group, int replica) {
     return node(group, replica).db.get();
@@ -126,6 +118,8 @@ class ShardedCsaFleet {
   static constexpr sim::SimNanos kFailoverDetectionNs = 5'000'000;
 
   FleetOptions options_;
+  /// Host hardware; Load scales its EPC to the loaded data.
+  sim::HardwareProfile hardware_ = sim::HardwareProfile::Paper();
 
   tee::SgxMachine host_machine_;
   std::unique_ptr<tee::SgxEnclave> host_enclave_;

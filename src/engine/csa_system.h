@@ -278,8 +278,6 @@ class CsaSystem {
   /// rows — only the placement/security work differs.
   Result<QueryOutcome> Run(SystemConfig config, const std::string& sql);
 
-  const CsaOptions& options() const { return options_; }
-
   /// Runtime knobs for the constrained-resource sweeps (Figures 10/11):
   /// affect only the cost model, not the stored data.
   void set_storage_cores(int cores) { options_.storage_cores = cores; }

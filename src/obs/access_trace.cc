@@ -72,8 +72,4 @@ std::string DeterministicSpanSignature(const Tracer& tracer) {
   return out.str();
 }
 
-uint64_t SpanFingerprint(const Tracer& tracer) {
-  return Fnv1a64(DeterministicSpanSignature(tracer));
-}
-
 }  // namespace ironsafe::obs

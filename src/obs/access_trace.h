@@ -113,9 +113,6 @@ uint64_t Fnv1a64(std::string_view bytes);
 /// timestamps additionally pin every cost charge.
 std::string DeterministicSpanSignature(const Tracer& tracer);
 
-/// FNV-1a 64 of DeterministicSpanSignature.
-uint64_t SpanFingerprint(const Tracer& tracer);
-
 }  // namespace ironsafe::obs
 
 #endif  // IRONSAFE_OBS_ACCESS_TRACE_H_

@@ -37,10 +37,4 @@ std::vector<std::pair<std::string, int64_t>> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c.Reset();
-  for (auto& [name, g] : gauges_) g.Reset();
-}
-
 }  // namespace ironsafe::obs

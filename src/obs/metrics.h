@@ -36,7 +36,6 @@ class Gauge {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -59,10 +58,6 @@ class MetricsRegistry {
 
   /// Name-sorted snapshot of every registered metric's current value.
   std::vector<std::pair<std::string, int64_t>> Snapshot() const;
-
-  /// Zeroes every metric (names stay registered). For tests comparing
-  /// cumulative process-wide values across repeated in-process runs.
-  void ResetAll();
 
  private:
   mutable std::mutex mu_;

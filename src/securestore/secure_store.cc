@@ -51,15 +51,6 @@ Status SecureStorageTa::CommitRoot(const Bytes& root, uint64_t epoch) {
   return rpmb_.Write(kRootSlot, record);
 }
 
-Result<uint64_t> SecureStorageTa::CurrentEpoch() {
-  if (!initialized_) return Status::FailedPrecondition("TA not initialized");
-  Bytes nonce = drbg_.Generate(16);
-  ASSIGN_OR_RETURN(Bytes record, rpmb_.Read(kRootSlot, nonce));
-  if (record.empty()) return static_cast<uint64_t>(0);
-  ByteReader r(record);
-  return r.ReadU64();
-}
-
 Status SecureStorageTa::VerifyRoot(const Bytes& root, uint64_t epoch) {
   if (!initialized_) return Status::FailedPrecondition("TA not initialized");
   Bytes nonce = drbg_.Generate(16);

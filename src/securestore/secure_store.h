@@ -41,9 +41,6 @@ class SecureStorageTa {
   /// this is the rollback detector.
   Status VerifyRoot(const Bytes& root, uint64_t epoch);
 
-  /// The latest committed epoch (0 if never committed).
-  Result<uint64_t> CurrentEpoch();
-
  private:
   Bytes RootMac(const Bytes& root, uint64_t epoch) const;
 

@@ -13,9 +13,13 @@ namespace ironsafe::server {
 
 namespace {
 
-Bytes SeedBytes(uint64_t seed) {
+/// Seeds the DRBG behind every per-session handshake. The seed is fixed,
+/// so a fixed session-open order yields identical channel keys (and thus
+/// byte-identical frames) run over run.
+Bytes HandshakeSeedBytes() {
+  constexpr uint64_t kHandshakeSeed = 0x5e55104e;
   Bytes b = ToBytes("ironsafe query service handshake drbg");
-  PutU64(&b, seed);
+  PutU64(&b, kHandshakeSeed);
   return b;
 }
 
@@ -109,7 +113,7 @@ QueryService::QueryService(engine::IronSafeSystem* system,
                            ServiceOptions options)
     : system_(system),
       options_(options),
-      handshake_drbg_(SeedBytes(options.handshake_seed)),
+      handshake_drbg_(HandshakeSeedBytes()),
       scheduler_(options.limits),
       plan_cache_(options.plan_cache_capacity),
       decode_("decode", 1, &events_,

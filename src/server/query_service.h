@@ -80,10 +80,6 @@ struct Completion {
 struct ServiceOptions {
   SchedulerLimits limits;
   size_t plan_cache_capacity = 128;
-  /// Seeds the DRBG behind every per-session handshake, so a fixed
-  /// session-open order yields identical channel keys (and thus
-  /// byte-identical frames) run over run.
-  uint64_t handshake_seed = 0x5e55104e;
   /// Statements that may occupy the execute stage concurrently (on the
   /// simulated timeline; native work still runs one event at a time).
   size_t execute_slots = 4;

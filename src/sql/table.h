@@ -48,10 +48,13 @@ class Table {
 
   /// Rewrites the table in place: `fn` returns false to delete the row
   /// and may mutate it. Returns the number of affected (deleted or kept-
-  /// modified) rows as counted by `modified`.
-  virtual Status Rewrite(
-      const std::function<Result<bool>(Row*, bool* modified)>& fn,
-      sim::CostModel* cost, uint64_t* affected) = 0;
+  /// modified) rows as counted by `modified`. Every row is read and
+  /// passed through `fn`, and every kept row checked with CheckRow,
+  /// before anything is dropped, so a failure of either leaves the table
+  /// unchanged and writes nothing. The kept rows are then re-appended
+  /// inside one bulk load.
+  Status Rewrite(const std::function<Result<bool>(Row*, bool* modified)>& fn,
+                 sim::CostModel* cost, uint64_t* affected);
 
   /// Bulk-load bracket; flushes buffered pages / commits secure roots.
   virtual void BeginBulkLoad() {}
@@ -59,6 +62,13 @@ class Table {
     (void)cost;
     return Status::OK();
   }
+
+ protected:
+  /// OK when Append would accept `row`: its arity matches the schema
+  /// (and, for a paged table, it fits in one page).
+  virtual Status CheckRow(const Row& row) const;
+  /// Drops every row ahead of Rewrite's re-append.
+  virtual void DropRows() = 0;
 
  private:
   std::string name_;
@@ -86,12 +96,13 @@ class MemoryTable : public Table {
   /// Never `cached`: host scans pay the full decode charge per row.
   Result<DecodedMorsel> DecodeMorselBatch(uint64_t unit,
                                           sim::CostModel* cost) const override;
-  Status Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
-                 sim::CostModel* cost, uint64_t* affected) override;
 
   /// Rows per morsel unit: small enough to load-balance skewed filters,
   /// large enough that per-unit overhead stays negligible.
   static constexpr uint64_t kRowsPerMorsel = 1024;
+
+ protected:
+  void DropRows() override;
 
  private:
   /// Full units of kRowsPerMorsel rows, then at most one partial tail.
@@ -119,22 +130,34 @@ class PagedTable : public Table {
     store_->BeginParallelRead(slots);
   }
   void EndParallelScan() override { store_->EndParallelRead(); }
-  Status Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
-                 sim::CostModel* cost, uint64_t* affected) override;
 
   void BeginBulkLoad() override { store_->BeginBatch(); }
+  /// Flushes the buffered rows; page ids a rewrite freed and did not
+  /// refill are dropped, never reused by later appends.
   Status FinishBulkLoad(sim::CostModel* cost) override {
     RETURN_IF_ERROR(FlushBuffer(cost));
+    free_pages_.clear();
     return store_->EndBatch();
   }
 
   const std::vector<uint64_t>& page_ids() const { return page_ids_; }
 
+ protected:
+  Status CheckRow(const Row& row) const override;
+  /// Frees the page ids in order for FlushBuffer to refill.
+  void DropRows() override;
+
  private:
+  /// `row` serialized, after CheckRow's arity and page-size checks.
+  Result<Bytes> Encode(const Row& row) const;
+  /// Writes the buffered rows as one page: the next freed page id, else a
+  /// newly allocated one.
   Status FlushBuffer(sim::CostModel* cost);
 
   PageStore* store_;
   std::vector<uint64_t> page_ids_;
+  /// Page ids freed by DropRows, the next one to reuse at the back.
+  std::vector<uint64_t> free_pages_;
   uint64_t row_count_ = 0;
   // Rows waiting to fill the current page.
   std::vector<Bytes> buffer_;  // serialized rows

@@ -121,48 +121,11 @@ size_t FilterBetweenF64(const int64_t* bits, double lo, double hi,
 
 namespace {
 template <typename T, typename Op>
-void ArithScalarImpl(const T* a, Op f, T b, const uint32_t* sel, size_t n,
-                     T* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = f(a[sel[i]], b);
-}
-template <typename T, typename Op>
 void ArithColsImpl(const T* a, Op f, const T* b, const uint32_t* sel,
                    size_t n, T* dst) {
   for (size_t i = 0; i < n; ++i) dst[i] = f(a[sel[i]], b[sel[i]]);
 }
 }  // namespace
-
-void ArithI64Scalar(const int64_t* a, ArithOp op, int64_t b,
-                    const uint32_t* sel, size_t n, int64_t* dst) {
-  switch (op) {
-    case ArithOp::kAdd:
-      return ArithScalarImpl(
-          a, [](int64_t x, int64_t y) { return x + y; }, b, sel, n, dst);
-    case ArithOp::kSub:
-      return ArithScalarImpl(
-          a, [](int64_t x, int64_t y) { return x - y; }, b, sel, n, dst);
-    case ArithOp::kMul:
-      return ArithScalarImpl(
-          a, [](int64_t x, int64_t y) { return x * y; }, b, sel, n, dst);
-  }
-}
-
-void ArithF64Scalar(const int64_t* a_bits, ArithOp op, double b,
-                    const uint32_t* sel, size_t n, int64_t* dst_bits) {
-  auto run = [&](auto f) {
-    for (size_t i = 0; i < n; ++i) {
-      dst_bits[i] = BitsFromF64(f(F64FromBits(a_bits[sel[i]]), b));
-    }
-  };
-  switch (op) {
-    case ArithOp::kAdd:
-      return run([](double x, double y) { return x + y; });
-    case ArithOp::kSub:
-      return run([](double x, double y) { return x - y; });
-    case ArithOp::kMul:
-      return run([](double x, double y) { return x * y; });
-  }
-}
 
 void ArithI64Cols(const int64_t* a, ArithOp op, const int64_t* b,
                   const uint32_t* sel, size_t n, int64_t* dst) {
@@ -206,12 +169,6 @@ void AppendKeyF64(std::vector<uint8_t>* key, double v) {
 void AppendKeyDate(std::vector<uint8_t>* key, int64_t days) {
   key->push_back(5);  // serialized date tag
   PutU64(key, static_cast<uint64_t>(days));
-}
-
-void AppendKeyStr(std::vector<uint8_t>* key, const std::string& s) {
-  key->push_back(4);  // serialized string tag
-  PutU32(key, static_cast<uint32_t>(s.size()));
-  key->insert(key->end(), s.begin(), s.end());
 }
 
 uint64_t HashBytes(const uint8_t* data, size_t n) {

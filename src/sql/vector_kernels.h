@@ -59,10 +59,6 @@ size_t FilterBetweenF64(const int64_t* bits, double lo, double hi,
 // ---- Arithmetic kernels (projection fast paths) ----
 // dst is indexed by position (0..n), not by selection index.
 
-void ArithI64Scalar(const int64_t* a, ArithOp op, int64_t b,
-                    const uint32_t* sel, size_t n, int64_t* dst);
-void ArithF64Scalar(const int64_t* a_bits, ArithOp op, double b,
-                    const uint32_t* sel, size_t n, int64_t* dst_bits);
 void ArithI64Cols(const int64_t* a, ArithOp op, const int64_t* b,
                   const uint32_t* sel, size_t n, int64_t* dst);
 void ArithF64Cols(const int64_t* a_bits, ArithOp op, const int64_t* b_bits,
@@ -78,7 +74,6 @@ inline void AppendKeyI64(std::vector<uint8_t>* key, int64_t v) {
   AppendKeyF64(key, static_cast<double>(v));
 }
 void AppendKeyDate(std::vector<uint8_t>* key, int64_t days);
-void AppendKeyStr(std::vector<uint8_t>* key, const std::string& s);
 
 /// FNV-1a, used by the hash-probe microbenches and key prehashing.
 uint64_t HashBytes(const uint8_t* data, size_t n);

@@ -27,9 +27,6 @@ class BlockDevice {
   /// Reads a frame, charging NVMe cost to `cost` if provided.
   Result<Bytes> ReadFrame(uint64_t slot, sim::CostModel* cost) const;
 
-  bool HasFrame(uint64_t slot) const { return frames_.count(slot) > 0; }
-  size_t frame_count() const { return frames_.size(); }
-
   void WriteMetadata(Bytes metadata) { metadata_ = std::move(metadata); }
   const Bytes& ReadMetadata() const { return metadata_; }
 

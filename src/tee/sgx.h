@@ -55,8 +55,6 @@ class SgxEnclave {
   /// Releases the enclave's tracked resident set (e.g. end of query).
   void ClearMemory();
 
-  uint64_t resident_bytes() const { return resident_bytes_ * kPageSize; }
-
   /// Produces a quote with `report_data` bound to this enclave's identity.
   SgxQuote GetQuote(const Bytes& report_data) const;
 

@@ -128,18 +128,6 @@ TpchGenerator::TpchGenerator(TpchConfig config)
   orders_ = Scaled(sf, 1'500'000, 150);
 }
 
-uint64_t TpchGenerator::RowCount(const std::string& table) const {
-  if (table == "region") return 5;
-  if (table == "nation") return 25;
-  if (table == "supplier") return suppliers_;
-  if (table == "customer") return customers_;
-  if (table == "part") return parts_;
-  if (table == "partsupp") return parts_ * 4;
-  if (table == "orders") return orders_;
-  if (table == "lineitem") return orders_ * 4;  // expected value
-  return 0;
-}
-
 Status TpchGenerator::LoadInto(sql::Database* db, sim::CostModel* cost) {
   for (const std::string& ddl : SchemaSql()) {
     RETURN_IF_ERROR(db->Execute(ddl).status());

@@ -28,9 +28,6 @@ class TpchGenerator {
   /// Creates the eight TPC-H tables in `db` and bulk-loads them.
   Status LoadInto(sql::Database* db, sim::CostModel* cost = nullptr);
 
-  /// Planned row count for `table` at this scale factor.
-  uint64_t RowCount(const std::string& table) const;
-
   /// The CREATE TABLE statements, index 0..7 (region..lineitem).
   static const std::vector<std::string>& SchemaSql();
 

@@ -127,13 +127,6 @@ const std::vector<TableSpec>& TpchTables() {
   return *kTables;
 }
 
-const TableSpec* FindTable(const std::string& table) {
-  for (const TableSpec& spec : TpchTables()) {
-    if (spec.name == table) return &spec;
-  }
-  return nullptr;
-}
-
 std::vector<sql::TablePartition> TpchPartitionScheme() {
   std::vector<sql::TablePartition> scheme;
   scheme.reserve(TpchTables().size());

@@ -39,9 +39,6 @@ struct TableSpec {
 /// node so shard-local join fragments never need them shipped.
 const std::vector<TableSpec>& TpchTables();
 
-/// Spec for `table`, or nullptr for an unknown name.
-const TableSpec* FindTable(const std::string& table);
-
 /// The per-table partition specs in table load order — the value a
 /// fleet's FleetOptions::partitions takes for TPC-H workloads.
 std::vector<sql::TablePartition> TpchPartitionScheme();

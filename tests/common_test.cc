@@ -45,15 +45,10 @@ TEST(StatusTest, ReturnIfErrorPropagates) {
 }
 
 TEST(RetryClassificationTest, DistinguishesBackpressureFromNodeDown) {
-  // Both transient kinds are retryable, but they are distinct
-  // conditions: backpressure (an admission queue or quota rejection)
-  // resolves by waiting on the same path, node-down may need another.
+  // Backpressure (an admission queue or quota rejection) resolves by
+  // waiting on the same path; a lost node is a different condition.
   Status backpressure = Status::ResourceExhausted("admission queue full");
   Status node_down = Status::Unavailable("storage node lost");
-  EXPECT_EQ(ClassifyTransient(backpressure), TransientKind::kBackpressure);
-  EXPECT_EQ(ClassifyTransient(node_down), TransientKind::kNodeDown);
-  EXPECT_TRUE(IsRetryableTransient(backpressure));
-  EXPECT_TRUE(IsRetryableTransient(node_down));
   EXPECT_TRUE(IsBackpressure(backpressure));
   EXPECT_FALSE(IsBackpressure(node_down));
   EXPECT_TRUE(backpressure.IsResourceExhausted());
@@ -63,16 +58,14 @@ TEST(RetryClassificationTest, PermanentFailuresAreNotTransient) {
   for (Status s : {Status::PermissionDenied("policy"), Status::NotFound("t"),
                    Status::Corruption("mac"), Status::Unauthenticated("key"),
                    Status::OK()}) {
-    EXPECT_EQ(ClassifyTransient(s), TransientKind::kNone) << s.ToString();
-    EXPECT_FALSE(IsRetryableTransient(s));
-    EXPECT_FALSE(IsBackpressure(s));
+    EXPECT_FALSE(IsBackpressure(s)) << s.ToString();
   }
 }
 
 TEST(RetryClassificationTest, DrivesRetryPolicyAsClassifier) {
   RetryPolicy policy;
   policy.max_attempts = 3;
-  policy.retryable = IsRetryableTransient;
+  policy.retryable = IsBackpressure;
   int calls = 0;
   Status st = RetryWithBackoff(policy, [&]() -> Status {
     ++calls;

@@ -148,6 +148,23 @@ TEST(HmacTest, VerifyDetectsTamper) {
   EXPECT_FALSE(VerifyHmacSha256(key, msg, mac));
 }
 
+TEST(HmacTest, IncrementalPiecesMatchOneShot) {
+  Bytes key = ToBytes("incremental key");
+  Bytes msg(300);
+  for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<uint8_t>(i * 7);
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                     size_t{128}, size_t{299}, size_t{300}}) {
+    Hmac<Sha256> mac256(key);
+    mac256.Update(msg.data(), cut);
+    mac256.Update(msg.data() + cut, msg.size() - cut);
+    EXPECT_EQ(mac256.Final(), HmacSha256(key, msg)) << "cut " << cut;
+    Hmac<Sha512> mac512(key);
+    mac512.Update(msg.data(), cut);
+    mac512.Update(msg.data() + cut, msg.size() - cut);
+    EXPECT_EQ(mac512.Final(), HmacSha512(key, msg)) << "cut " << cut;
+  }
+}
+
 TEST(HkdfTest, Rfc5869Case1) {
   Bytes ikm(22, 0x0b);
   Bytes salt = Hx("000102030405060708090a0b0c");
@@ -575,6 +592,37 @@ TEST(AeadTest, SealOpenRoundTrip) {
   auto sealed = aead->Seal(nonce, aad, pt);
   ASSERT_TRUE(sealed.ok());
   auto opened = aead->Open(aad, *sealed);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, pt);
+}
+
+TEST(AeadTest, SealIsNonceCtrCiphertextAndHmacTag) {
+  // The wire format, built from the one-shot primitives: nonce ||
+  // AES-CTR(enc_key) || HMAC-SHA256(mac_key, nonce || aad_len || aad ||
+  // ciphertext).
+  Bytes key(64);
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
+  Bytes enc_key(key.begin(), key.begin() + 32);
+  Bytes mac_key(key.begin() + 32, key.end());
+  Bytes nonce(16, 0xa5);
+  Bytes aad = ToBytes("aad of 13 byt");
+  Bytes pt(1000);
+  for (size_t i = 0; i < pt.size(); ++i) pt[i] = static_cast<uint8_t>(i * 31);
+  Bytes ct = *AesCtr(enc_key, nonce, pt);
+  Bytes mac_input = nonce;
+  PutU64(&mac_input, aad.size());
+  Append(&mac_input, aad);
+  Append(&mac_input, ct);
+  Bytes expected = nonce;
+  Append(&expected, ct);
+  Append(&expected, HmacSha256(mac_key, mac_input));
+
+  auto aead = Aead::Create(key);
+  ASSERT_TRUE(aead.ok());
+  auto sealed = aead->Seal(nonce, aad, pt);
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(*sealed, expected);
+  auto opened = aead->Open(aad, expected);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(*opened, pt);
 }

@@ -350,6 +350,36 @@ TEST_P(SqlDmlTest, RewriteAcrossManyUnitsAndAnUnflushedTail) {
   EXPECT_EQ(last.rows.back()[0].AsInt(), -1);
 }
 
+TEST_P(SqlDmlTest, UpdateThatOutgrowsAPageFailsAndKeepsEveryRow) {
+  // A paged row must fit in one 4 KiB page; the failed rewrite must drop
+  // nothing and write nothing. A memory table has no page limit.
+  const std::string big(4100, 'x');
+  const auto frames_before = disk_.Snapshot().frames;
+  Status st = RunStatus("UPDATE emp SET name = '" + big + "' WHERE id = 2");
+  auto r = Run("SELECT id, name FROM emp");
+  ASSERT_EQ(r.rows.size(), 5u);
+  EXPECT_EQ(r.rows[1][0].AsInt(), 2);
+  if (GetParam() == Storage::kPaged) {
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(r.rows[1][1].AsString(), "bob");
+    EXPECT_TRUE(disk_.Snapshot().frames == frames_before);
+  } else {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(r.rows[1][1].AsString(), big);
+  }
+}
+
+TEST_P(SqlDmlTest, UpdateCoercesLiteralsLikeInsert) {
+  Run("UPDATE emp SET hired = '2020-01-01', salary = 100 WHERE id = 1");
+  Run("UPDATE emp SET hired = 18000 WHERE id = 2");
+  auto r = Run("SELECT id, salary FROM emp WHERE hired = DATE '2020-01-01'");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(r.rows[0][1].type(), Type::kDouble);
+  EXPECT_EQ(Run("SELECT hired FROM emp WHERE id = 2").rows[0][0].type(),
+            Type::kDate);
+}
+
 INSTANTIATE_TEST_SUITE_P(Storage, SqlDmlTest,
                          ::testing::Values(Storage::kMemory, Storage::kPaged),
                          StorageName);
