@@ -279,6 +279,18 @@ TEST(AesTest, Sp80038aCtr256) {
 // Each vector runs on the portable code and, when the CPU has the
 // instructions, on AES-NI / SHA-NI (crypto/dispatch.h).
 
+}  // namespace
+
+// GoogleTest lists each parameter next to the test name. Print the
+// implementation's name, not its address, which moves from run to run,
+// so that every build lists the same test names.
+namespace internal {
+void PrintTo(const AesImpl* impl, std::ostream* os) { *os << impl->name; }
+void PrintTo(const Sha256Impl* impl, std::ostream* os) { *os << impl->name; }
+}  // namespace internal
+
+namespace {
+
 std::vector<const internal::AesImpl*> AesImpls() {
   std::vector<const internal::AesImpl*> impls = {&internal::kPortableAes};
   if (internal::HardwareAes() != nullptr) {
