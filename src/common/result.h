@@ -11,8 +11,9 @@ namespace ironsafe {
 
 /// Holds either a value of type T or a non-OK Status explaining why the
 /// value is absent. The IronSafe analogue of arrow::Result / StatusOr.
+/// `[[nodiscard]]` like Status: a dropped Result fails the build.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Implicit from value and from Status so call sites can `return value;`
   /// or `return Status::NotFound(...)`.

@@ -31,7 +31,10 @@ std::string_view StatusCodeToString(StatusCode code);
 ///
 /// IronSafe library code never throws; fallible functions return `Status`
 /// (or `Result<T>`, see result.h). This mirrors the Arrow/RocksDB idiom.
-class Status {
+/// `[[nodiscard]]`: with -Werror=unused-result (top-level CMakeLists.txt)
+/// a call whose Status is dropped fails the build; `(void)` marks a
+/// deliberate discard.
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}

@@ -17,14 +17,7 @@ using sql::TableRef;
 void WalkExprSubqueries(Expr* e, const std::function<void(SelectStmt*)>& fn) {
   if (e == nullptr) return;
   if (e->subquery) fn(e->subquery.get());
-  WalkExprSubqueries(e->left.get(), fn);
-  WalkExprSubqueries(e->right.get(), fn);
-  for (auto& a : e->args) WalkExprSubqueries(a.get(), fn);
-  for (auto& [w, t] : e->when_clauses) {
-    WalkExprSubqueries(w.get(), fn);
-    WalkExprSubqueries(t.get(), fn);
-  }
-  WalkExprSubqueries(e->else_expr.get(), fn);
+  sql::ForEachChild(*e, [&](ExprPtr& c) { WalkExprSubqueries(c.get(), fn); });
 }
 
 ExprPtr RebuildConjunction(const std::vector<const Expr*>& parts) {

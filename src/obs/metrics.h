@@ -72,9 +72,7 @@ inline Gauge& GetGauge(std::string_view name) {
   return MetricsRegistry::Global().gauge(name);
 }
 
-/// Hot-path counter bump. Resolves the registry lookup once per call
-/// site; compiles to nothing under -DIRONSAFE_OBS_DISABLE.
-#ifndef IRONSAFE_OBS_DISABLE
+/// Hot-path counter bump. Resolves the registry lookup once per call site.
 #define IRONSAFE_COUNTER_ADD(name, delta)                       \
   do {                                                          \
     static ::ironsafe::obs::Counter& _ironsafe_obs_counter =    \
@@ -82,11 +80,6 @@ inline Gauge& GetGauge(std::string_view name) {
     _ironsafe_obs_counter.Add(                                  \
         static_cast<int64_t>(delta));                           \
   } while (0)
-#else
-#define IRONSAFE_COUNTER_ADD(name, delta) \
-  do {                                    \
-  } while (0)
-#endif
 
 }  // namespace ironsafe::obs
 

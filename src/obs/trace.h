@@ -173,7 +173,6 @@ class ScopedTracer {
 /// can instrument unconditionally.
 class SpanGuard {
  public:
-#ifndef IRONSAFE_OBS_DISABLE
   SpanGuard(std::string_view name, std::string_view category,
             const sim::CostModel* cost)
       : tracer_(CurrentTracer()), cost_(cost) {
@@ -195,24 +194,14 @@ class SpanGuard {
   }
   bool active() const { return tracer_ != nullptr; }
   int64_t id() const { return id_; }
-#else
-  SpanGuard(std::string_view, std::string_view, const sim::CostModel*) {}
-  void Close() {}
-  void Tag(std::string_view, std::string_view) {}
-  void Tag(std::string_view, int64_t) {}
-  bool active() const { return false; }
-  int64_t id() const { return -1; }
-#endif
 
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
 
  private:
-#ifndef IRONSAFE_OBS_DISABLE
   Tracer* tracer_ = nullptr;
   const sim::CostModel* cost_ = nullptr;
   int64_t id_ = -1;
-#endif
 };
 
 }  // namespace ironsafe::obs

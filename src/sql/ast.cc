@@ -201,29 +201,17 @@ void CollectColumns(const Expr& e, std::set<std::string>* cols,
     default:
       break;
   }
-  if (e.left) CollectColumns(*e.left, cols, has_subquery);
-  if (e.right) CollectColumns(*e.right, cols, has_subquery);
-  for (const auto& a : e.args) CollectColumns(*a, cols, has_subquery);
-  for (const auto& [w, t] : e.when_clauses) {
-    CollectColumns(*w, cols, has_subquery);
-    CollectColumns(*t, cols, has_subquery);
-  }
-  if (e.else_expr) CollectColumns(*e.else_expr, cols, has_subquery);
+  ForEachChild(e, [&](const Expr& c) {
+    CollectColumns(c, cols, has_subquery);
+  });
 }
 
 bool ExprHasSubquery(const Expr* e) {
   if (e == nullptr) return false;
-  if (e->subquery) return true;
-  if (ExprHasSubquery(e->left.get()) || ExprHasSubquery(e->right.get())) {
-    return true;
-  }
-  for (const auto& a : e->args) {
-    if (ExprHasSubquery(a.get())) return true;
-  }
-  for (const auto& [w, t] : e->when_clauses) {
-    if (ExprHasSubquery(w.get()) || ExprHasSubquery(t.get())) return true;
-  }
-  return ExprHasSubquery(e->else_expr.get());
+  bool found = e->subquery != nullptr;
+  ForEachChild(*e,
+               [&](const Expr& c) { found = found || ExprHasSubquery(&c); });
+  return found;
 }
 
 bool SelectHasSubquery(const SelectStmt& stmt) {

@@ -151,6 +151,33 @@ struct UpdateStmt {
 
 // ---- Expression analysis, shared by the executors and the planners ----
 
+/// Calls `fn` on each direct child of `e` in order: left, right, args,
+/// each CASE WHEN/THEN pair, ELSE. A subquery is not a child. The const
+/// form passes `const Expr&`; the mutable form passes the owning
+/// `ExprPtr&`, so `fn` may replace the child.
+template <typename Fn>
+void ForEachChild(const Expr& e, Fn&& fn) {
+  if (e.left) fn(*e.left);
+  if (e.right) fn(*e.right);
+  for (const ExprPtr& a : e.args) fn(*a);
+  for (const auto& [w, t] : e.when_clauses) {
+    fn(*w);
+    fn(*t);
+  }
+  if (e.else_expr) fn(*e.else_expr);
+}
+template <typename Fn>
+void ForEachChild(Expr& e, Fn&& fn) {
+  if (e.left) fn(e.left);
+  if (e.right) fn(e.right);
+  for (ExprPtr& a : e.args) fn(a);
+  for (auto& [w, t] : e.when_clauses) {
+    fn(w);
+    fn(t);
+  }
+  if (e.else_expr) fn(e.else_expr);
+}
+
 /// Flattens a conjunction into its AND-ed parts, left to right; a null
 /// expression yields none.
 void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out);

@@ -188,12 +188,15 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
               ASSIGN_OR_RETURN(bool match, eval.EvalBool(*upd.where, scope));
               if (!match) return true;
             }
+            // Every SET reads the original row: `SET a = b, b = a` swaps.
+            Row updated = *row;
             for (const auto& [idx, expr] : sets) {
               ASSIGN_OR_RETURN(Value v, eval.Eval(*expr, scope));
-              ASSIGN_OR_RETURN((*row)[idx],
+              ASSIGN_OR_RETURN(updated[idx],
                                CoerceToColumn(std::move(v),
                                               schema.column(idx).type));
             }
+            *row = std::move(updated);
             *modified = true;
             return true;
           },

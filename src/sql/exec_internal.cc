@@ -13,35 +13,24 @@ void CollectAggregates(const Expr& e,
     aggs->emplace(e.ToString(), &e);
     return;
   }
-  if (e.left) CollectAggregates(*e.left, aggs);
-  if (e.right) CollectAggregates(*e.right, aggs);
-  for (const auto& a : e.args) CollectAggregates(*a, aggs);
-  for (const auto& [w, t] : e.when_clauses) {
-    CollectAggregates(*w, aggs);
-    CollectAggregates(*t, aggs);
-  }
-  if (e.else_expr) CollectAggregates(*e.else_expr, aggs);
+  ForEachChild(e, [&](const Expr& c) { CollectAggregates(c, aggs); });
 }
 
-/// Clones `e`, replacing any subtree whose printed form is in `names`
-/// with a column reference of that name (the post-aggregation schema
-/// names its columns by printed expression).
+/// Replaces, in place, every subtree of `*e` whose printed form is in
+/// `names` with a column reference of that name (the post-aggregation
+/// schema names its columns by printed expression).
+void ReplaceWithColumns(ExprPtr* e, const std::set<std::string>& names) {
+  std::string printed = (*e)->ToString();
+  if (names.count(printed)) {
+    *e = Expr::MakeColumn(std::move(printed));
+    return;
+  }
+  ForEachChild(**e, [&](ExprPtr& c) { ReplaceWithColumns(&c, names); });
+}
+
 ExprPtr RewriteToColumns(const Expr& e, const std::set<std::string>& names) {
-  std::string printed = e.ToString();
-  if (names.count(printed)) return Expr::MakeColumn(printed);
   ExprPtr c = e.Clone();
-  if (c->left) c->left = RewriteToColumns(*e.left, names);
-  if (c->right) c->right = RewriteToColumns(*e.right, names);
-  for (size_t i = 0; i < c->args.size(); ++i) {
-    c->args[i] = RewriteToColumns(*e.args[i], names);
-  }
-  for (size_t i = 0; i < c->when_clauses.size(); ++i) {
-    c->when_clauses[i].first =
-        RewriteToColumns(*e.when_clauses[i].first, names);
-    c->when_clauses[i].second =
-        RewriteToColumns(*e.when_clauses[i].second, names);
-  }
-  if (c->else_expr) c->else_expr = RewriteToColumns(*e.else_expr, names);
+  ReplaceWithColumns(&c, names);
   return c;
 }
 

@@ -1,5 +1,6 @@
 #include "sql/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -33,12 +34,20 @@ std::string Value::ToString() const {
     case Type::kInt64:
       return std::to_string(int_);
     case Type::kDouble: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.4f", double_);
-      return buf;
+      char buf[32];
+      std::string s(buf, std::to_chars(buf, buf + sizeof(buf), double_).ptr);
+      // "2" would re-parse as an INT64 literal.
+      if (s.find_first_not_of("-0123456789") == std::string::npos) s += ".0";
+      return s;
     }
-    case Type::kString:
-      return "'" + str_ + "'";
+    case Type::kString: {
+      std::string s = "'";
+      for (char c : str_) {
+        s += c;
+        if (c == '\'') s += '\'';
+      }
+      return s + "'";
+    }
     case Type::kDate:
       return "DATE '" + FormatDate(int_) + "'";
   }

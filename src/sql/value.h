@@ -43,7 +43,9 @@ class Value {
            type_ == Type::kDate;
   }
 
-  /// SQL literal rendering: NULL, 42, 3.14, 'text', DATE '1995-03-15'.
+  /// SQL literal rendering: NULL, 42, 3.14, 'it''s', DATE '1995-03-15'.
+  /// The parser reads the text back as the same value: a double prints
+  /// as its shortest round-trip form and a string doubles its quotes.
   std::string ToString() const;
 
   /// Three-way comparison for ORDER BY and joins: NULL sorts first;

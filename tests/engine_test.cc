@@ -218,6 +218,42 @@ TEST_P(ConfigEquivalence, AllConfigsAgree) {
   }
 }
 
+// vcs and scs re-parse the printed query on the storage side, so a double
+// with more than four decimals and a string with a quote must print as
+// literals that parse back to the same values.
+TEST(LiteralEquivalence, AllConfigsAgreeOnExactLiterals) {
+  auto system = CsaSystem::Create(CsaOptions{});
+  ASSERT_TRUE(system.ok());
+  ASSERT_TRUE((*system)
+                  ->Load([](sql::Database* db) -> Status {
+                    RETURN_IF_ERROR(
+                        db->Execute("CREATE TABLE t (x DOUBLE, s VARCHAR)")
+                            .status());
+                    return db
+                        ->Execute("INSERT INTO t VALUES (0.123456, "
+                                  "'O''Brien'), (0.1, 'Smith')")
+                        .status();
+                  })
+                  .ok());
+  const std::pair<const char*, double> cases[] = {
+      {"SELECT x FROM t WHERE x < 0.12345", 0.1},
+      {"SELECT x FROM t WHERE s = 'O''Brien'", 0.123456},
+  };
+  for (const auto& [sql, want] : cases) {
+    for (SystemConfig config :
+         {SystemConfig::kHons, SystemConfig::kHos, SystemConfig::kVcs,
+          SystemConfig::kScs, SystemConfig::kSos}) {
+      auto out = (*system)->Run(config, sql);
+      ASSERT_TRUE(out.ok()) << SystemConfigName(config) << ": " << sql
+                            << " -> " << out.status().ToString();
+      ASSERT_EQ(out->result.rows.size(), 1u)
+          << SystemConfigName(config) << ": " << sql;
+      EXPECT_EQ(out->result.rows[0][0].AsDouble(), want)
+          << SystemConfigName(config) << ": " << sql;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(SelectedQueries, ConfigEquivalence,
                          ::testing::Values(3, 5, 6, 10, 12, 14, 19),
                          [](const auto& param_info) {

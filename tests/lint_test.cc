@@ -186,43 +186,6 @@ TEST(LintDeterminism, UnorderedIterationAllowedOffTheSerializationPath) {
           .empty());
 }
 
-TEST(LintUncheckedStatus, FiresOnDiscardedFallibleCalls) {
-  auto diags = LintFixtureAs("status_discard_violating.cc",
-                             "src/tee/status_discard_violating.cc");
-  // Send, Receive, Provision, Write — one each.
-  ASSERT_EQ(diags.size(), 4u);
-  for (const auto& d : diags) {
-    EXPECT_EQ(d.rule, "unchecked-status");
-    EXPECT_NE(d.message.find("discarded"), std::string::npos);
-  }
-}
-
-TEST(LintUncheckedStatus, SilentOnConsumedResults) {
-  EXPECT_TRUE(LintFixtureAs("status_discard_clean.cc",
-                            "src/net/status_discard_clean.cc")
-                  .empty());
-}
-
-TEST(LintUncheckedStatus, OnlyAppliesToFaultInjectableModules) {
-  // The same discards are legal outside src/net, src/tee, src/securestore.
-  EXPECT_TRUE(LintFixtureAs("status_discard_violating.cc",
-                            "src/engine/status_discard_violating.cc")
-                  .empty());
-  EXPECT_TRUE(LintFixtureAs("status_discard_violating.cc",
-                            "tests/status_discard_violating.cc")
-                  .empty());
-}
-
-TEST(LintUncheckedStatus, AllowCommentSilences) {
-  std::string code =
-      "struct C { int Send(int); };\n"
-      "void F(C* c) {\n"
-      "  // ironsafe-lint: allow(unchecked-status)\n"
-      "  c->Send(1);\n"
-      "}\n";
-  EXPECT_TRUE(LintSource("src/net/x.cc", code).empty());
-}
-
 TEST(LintVectorKernelBoxing, FiresOnValueInKernelFile) {
   auto diags = LintFixtureAs("vector_kernel_violating.cc",
                              "src/sql/vector_kernels.cc");

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -83,7 +84,15 @@ std::vector<std::string> CanonicalRows(const QueryResult& result) {
   for (const Row& row : result.rows) {
     std::string s;
     for (const Value& v : row) {
-      s += v.ToString();
+      // Doubles compare at four decimals: the oblivious pipeline adds in
+      // another order than the plain one, which can move the last bits.
+      if (v.type() == Type::kDouble) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.4f", v.AsDouble());
+        s += buf;
+      } else {
+        s += v.ToString();
+      }
       s.push_back('|');
     }
     out.push_back(std::move(s));

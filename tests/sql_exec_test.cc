@@ -380,9 +380,34 @@ TEST_P(SqlDmlTest, UpdateCoercesLiteralsLikeInsert) {
             Type::kDate);
 }
 
+TEST_P(SqlDmlTest, UpdateSetsReadTheOriginalRow) {
+  Run("CREATE TABLE pair (a INTEGER, b INTEGER)");
+  Run("INSERT INTO pair VALUES (1, 2)");
+  Run("UPDATE pair SET a = b, b = a");
+  auto r = Run("SELECT a, b FROM pair");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 2);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Storage, SqlDmlTest,
                          ::testing::Values(Storage::kMemory, Storage::kPaged),
                          StorageName);
+
+// Aggregates and GROUP BY keys are matched by printed expression, so
+// literals that differ past the fourth decimal must print differently.
+TEST_F(SqlExecTest, AggregatesWithCloseLiteralsStayDistinct) {
+  auto r = Run("SELECT sum(salary * 0.12345), sum(salary * 0.12346) FROM emp");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_NEAR(r.rows[0][0].AsDouble(), 450000 * 0.12345, 1e-6);
+  EXPECT_NEAR(r.rows[0][1].AsDouble(), 450000 * 0.12346, 1e-6);
+  EXPECT_TRUE(RunStatus("SELECT salary * 0.12345 FROM emp "
+                        "GROUP BY salary * 0.12345")
+                  .ok());
+  EXPECT_FALSE(RunStatus("SELECT salary * 0.12345 FROM emp "
+                         "GROUP BY salary * 0.12346")
+                   .ok());
+}
 
 TEST_F(SqlExecTest, SelectWithoutFrom) {
   auto r = Run("SELECT 1 + 2 AS three, 'x'");

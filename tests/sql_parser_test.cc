@@ -202,11 +202,27 @@ TEST(ParserTest, ErrorsAreInformative) {
   EXPECT_FALSE(r4.ok());
 }
 
+void CollectLiterals(const Expr& e, std::vector<Value>* out) {
+  if (e.kind == ExprKind::kLiteral) out->push_back(e.literal);
+  ForEachChild(e, [&](const Expr& c) { CollectLiterals(c, out); });
+}
+
+/// Every literal of `stmt`'s select items, WHERE and GROUP BY, in order.
+std::vector<Value> Literals(const SelectStmt& stmt) {
+  std::vector<Value> out;
+  for (const SelectItem& item : stmt.items) CollectLiterals(*item.expr, &out);
+  if (stmt.where) CollectLiterals(*stmt.where, &out);
+  for (const ExprPtr& g : stmt.group_by) CollectLiterals(*g, &out);
+  return out;
+}
+
 TEST(ParserTest, ToStringRoundTripsThroughParser) {
   const char* queries[] = {
       "SELECT a, sum(b) AS total FROM t WHERE c > 5 GROUP BY a ORDER BY total DESC LIMIT 3",
       "SELECT * FROM x, y WHERE x.k = y.k AND x.v BETWEEN 1 AND 9",
       "SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END FROM t",
+      "SELECT a * 0.12345, 2.0, 1e-7, 'it''s' FROM t "
+      "WHERE s = 'O''Brien' AND x < 123456789.125 GROUP BY a * 0.1",
   };
   for (const char* q : queries) {
     auto first = ParseSelect(q);
@@ -215,6 +231,16 @@ TEST(ParserTest, ToStringRoundTripsThroughParser) {
     auto second = ParseSelect(printed);
     ASSERT_TRUE(second.ok()) << printed;
     EXPECT_EQ((*second)->ToString(), printed);
+    // The printed literals parse back to the same type and value.
+    std::vector<Value> want = Literals(**first);
+    std::vector<Value> got = Literals(**second);
+    ASSERT_EQ(got.size(), want.size()) << printed;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].type(), want[i].type()) << printed;
+      EXPECT_EQ(got[i].Compare(want[i]), 0)
+          << want[i].ToString() << " printed in " << printed;
+      EXPECT_EQ(got[i].AsString(), want[i].AsString()) << printed;
+    }
   }
 }
 

@@ -545,76 +545,6 @@ void CheckDeterminismUnorderedIteration(Checker& c) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: unchecked-status.
-// ---------------------------------------------------------------------------
-
-/// Modules carrying fault-injection sites (docs/FAULT_INJECTION.md): a
-/// discarded Status/Result from a fallible call here silently swallows an
-/// injected — or real — fault.
-bool IsFaultInjectableModule(std::string_view rel_path) {
-  return StartsWith(rel_path, "src/net/") || StartsWith(rel_path, "src/tee/") ||
-         StartsWith(rel_path, "src/securestore/");
-}
-
-/// Method/function names in the fault-injectable modules that return
-/// Status or Result<T>. Void-returning writers (WriteFrame, WriteMetadata,
-/// Append) are deliberately absent.
-const std::set<std::string>& FallibleCallNames() {
-  static const std::set<std::string> kNames = {
-      "Send",        "Receive",   "AuthenticatedWrite", "ProgramKey",
-      "Provision",   "Write",     "Read",               "ReadPage",
-      "WritePage",   "ReadFrame", "CommitRoot",         "VerifyRoot",
-      "Initialize",  "EndBatch",  "Persist",            "EnterExit",
-      "GetDataKey",  "VerifyLeaf", "Seal",              "Unseal",
-      "Open"};
-  return kNames;
-}
-
-/// Flags statement-position calls (chain of idents joined by ::/./->
-/// directly between statement boundaries, immediately followed by an
-/// argument list and ';') whose final callee is a known fallible name.
-/// `return f();`, assignments, and `(void)f();` casts all break the
-/// statement-position pattern and are exempt.
-void CheckUncheckedStatus(Checker& c) {
-  if (!IsFaultInjectableModule(c.rel_path)) return;
-  const auto& toks = c.lx.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (i > 0) {
-      const Token& prev = toks[i - 1];
-      if (prev.kind != Token::Kind::kPunct ||
-          (prev.text != ";" && prev.text != "{" && prev.text != "}"))
-        continue;
-    }
-    if (toks[i].kind != Token::Kind::kIdent) continue;
-    size_t j = i;
-    std::string callee = toks[j].text;
-    while (j + 2 < toks.size() && toks[j + 1].kind == Token::Kind::kPunct &&
-           (toks[j + 1].text == "::" || toks[j + 1].text == "." ||
-            toks[j + 1].text == "->") &&
-           toks[j + 2].kind == Token::Kind::kIdent) {
-      j += 2;
-      callee = toks[j].text;
-    }
-    if (j + 1 >= toks.size() || toks[j + 1].text != "(") continue;
-    if (!FallibleCallNames().count(callee)) continue;
-    int depth = 0;
-    size_t k = j + 1;
-    for (; k < toks.size(); ++k) {
-      if (toks[k].text == "(") {
-        ++depth;
-      } else if (toks[k].text == ")" && --depth == 0) {
-        break;
-      }
-    }
-    if (k + 1 >= toks.size() || toks[k + 1].text != ";") continue;
-    c.Emit("unchecked-status", toks[i].line,
-           "result of fallible call '" + callee +
-               "' is discarded; fault-injectable modules must check every "
-               "Status/Result (RETURN_IF_ERROR or explicit handling)");
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: vector-kernel-boxing.
 // ---------------------------------------------------------------------------
 
@@ -787,7 +717,6 @@ std::vector<Diagnostic> LintSource(std::string_view rel_path,
   CheckEnclaveBoundary(c);
   CheckDeterminismClocks(c);
   CheckDeterminismUnorderedIteration(c);
-  CheckUncheckedStatus(c);
   CheckVectorKernelBoxing(c);
   CheckObliviousBranching(c);
   CheckHygiene(c);
@@ -825,7 +754,6 @@ Report LintTree(const Options& opts) {
     CheckEnclaveBoundary(c);
     CheckDeterminismClocks(c);
     CheckDeterminismUnorderedIteration(c);
-    CheckUncheckedStatus(c);
     CheckVectorKernelBoxing(c);
     CheckObliviousBranching(c);
     CheckHygiene(c);

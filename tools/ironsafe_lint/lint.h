@@ -6,8 +6,10 @@
 #include <vector>
 
 /// ironsafe-lint: a deliberately small static-analysis pass that enforces
-/// the invariants IronSafe's correctness story rests on but no compiler
-/// checks (see docs/STATIC_ANALYSIS.md for the rule catalog):
+/// the invariants IronSafe's correctness story rests on and the compiler
+/// does not check. (A discarded Status or Result<T> is the compiler's
+/// job: both types are [[nodiscard]] and the build sets
+/// -Werror=unused-result.) See docs/STATIC_ANALYSIS.md for the catalog:
 ///
 ///   layering          — per-module allowed-include lists mirroring the
 ///                       library DAG declared in src/*/CMakeLists.txt,
@@ -19,13 +21,13 @@
 ///                       timing-shim allowlist; no iteration over
 ///                       unordered containers in files whose output order
 ///                       is observable (exporters, trace, wire).
-///   unchecked-status  — fault-injectable modules (src/net, src/tee,
-///                       src/securestore) must not discard the Status /
-///                       Result of a fallible call at statement position.
 ///   vector-kernel-boxing — the vectorized engine's kernel files
 ///                       (sql/vector_kernels.*) must not touch the boxed
 ///                       Value type; kernels operate on raw payload
 ///                       arrays only.
+///   oblivious-branching — the oblivious kernels
+///                       (sql/oblivious_kernels.*) must be branch-free;
+///                       only loops over public bounds are allowed.
 ///   hygiene           — headers carry include guards; no
 ///                       `using namespace std;` in headers.
 ///
@@ -35,7 +37,7 @@ namespace ironsafe::lint {
 
 struct Diagnostic {
   std::string rule;  ///< "layering", "enclave-boundary", "determinism",
-                     ///< "unchecked-status", "vector-kernel-boxing",
+                     ///< "vector-kernel-boxing", "oblivious-branching",
                      ///< "hygiene"
   std::string file;  ///< path relative to the tree root
   int line = 0;      ///< 1-based
