@@ -119,10 +119,20 @@ void BM_Ed25519_Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519_Verify);
 
-void BM_X25519(benchmark::State& state) {
+void BM_X25519Base(benchmark::State& state) {
   Bytes scalar(32, 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::X25519Base(scalar));
+  }
+}
+BENCHMARK(BM_X25519Base);
+
+// Variable-point X25519: the handshake's shared-secret step.
+void BM_X25519(benchmark::State& state) {
+  Bytes scalar(32, 5);
+  Bytes peer = *crypto::X25519Base(Bytes(32, 6));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::X25519(scalar, peer));
   }
 }
 BENCHMARK(BM_X25519);

@@ -136,6 +136,13 @@ Result<std::unique_ptr<SecureChannel>> Handshake::Finish(const Hello& peer,
   }
   ASSIGN_OR_RETURN(Bytes shared,
                    crypto::X25519(ephemeral_private_, peer.ephemeral_public));
+  // RFC 7748 §6.1: a low-order peer point yields the all-zero secret.
+  uint8_t any = 0;
+  for (uint8_t b : shared) any |= b;
+  if (any == 0) {
+    return Status::Unauthenticated(
+        "handshake: peer public key is a low-order point");
+  }
   // Transcript binds both public keys in a canonical order.
   Bytes transcript;
   const Bytes& a = is_initiator ? ephemeral_public_ : peer.ephemeral_public;

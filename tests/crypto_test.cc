@@ -524,6 +524,72 @@ TEST(Ed25519Test, Rfc8032TestVector3) {
   EXPECT_EQ(HexEncode(*sig),
             "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
             "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a");
+  EXPECT_TRUE(Ed25519Verify(kp->public_key, msg, *sig));
+}
+
+TEST(Ed25519Test, Rfc8032Test1024) {
+  Bytes seed =
+      Hx("f5e5767cf153319517630f226876b86c8160cc583bc013744c6bf255f5cc0ee5");
+  Bytes msg = Hx(
+      "08b8b2b733424243760fe426a4b54908632110a66c2f6591eabd3345e3e4eb98"
+      "fa6e264bf09efe12ee50f8f54e9f77b1e355f6c50544e23fb1433ddf73be84d8"
+      "79de7c0046dc4996d9e773f4bc9efe5738829adb26c81b37c93a1b270b20329d"
+      "658675fc6ea534e0810a4432826bf58c941efb65d57a338bbd2e26640f89ffbc"
+      "1a858efcb8550ee3a5e1998bd177e93a7363c344fe6b199ee5d02e82d522c4fe"
+      "ba15452f80288a821a579116ec6dad2b3b310da903401aa62100ab5d1a36553e"
+      "06203b33890cc9b832f79ef80560ccb9a39ce767967ed628c6ad573cb116dbef"
+      "efd75499da96bd68a8a97b928a8bbc103b6621fcde2beca1231d206be6cd9ec7"
+      "aff6f6c94fcd7204ed3455c68c83f4a41da4af2b74ef5c53f1d8ac70bdcb7ed1"
+      "85ce81bd84359d44254d95629e9855a94a7c1958d1f8ada5d0532ed8a5aa3fb2"
+      "d17ba70eb6248e594e1a2297acbbb39d502f1a8c6eb6f1ce22b3de1a1f40cc24"
+      "554119a831a9aad6079cad88425de6bde1a9187ebb6092cf67bf2b13fd65f270"
+      "88d78b7e883c8759d2c4f5c65adb7553878ad575f9fad878e80a0c9ba63bcbcc"
+      "2732e69485bbc9c90bfbd62481d9089beccf80cfe2df16a2cf65bd92dd597b07"
+      "07e0917af48bbb75fed413d238f5555a7a569d80c3414a8d0859dc65a46128ba"
+      "b27af87a71314f318c782b23ebfe808b82b0ce26401d2e22f04d83d1255dc51a"
+      "ddd3b75a2b1ae0784504df543af8969be3ea7082ff7fc9888c144da2af58429e"
+      "c96031dbcad3dad9af0dcbaaaf268cb8fcffead94f3c7ca495e056a9b47acdb7"
+      "51fb73e666c6c655ade8297297d07ad1ba5e43f1bca32301651339e22904cc8c"
+      "42f58c30c04aafdb038dda0847dd988dcda6f3bfd15c4b4c4525004aa06eeff8"
+      "ca61783aacec57fb3d1f92b0fe2fd1a85f6724517b65e614ad6808d6f6ee34df"
+      "f7310fdc82aebfd904b01e1dc54b2927094b2db68d6f903b68401adebf5a7e08"
+      "d78ff4ef5d63653a65040cf9bfd4aca7984a74d37145986780fc0b16ac451649"
+      "de6188a7dbdf191f64b5fc5e2ab47b57f7f7276cd419c17a3ca8e1b939ae49e4"
+      "88acba6b965610b5480109c8b17b80e1b7b750dfc7598d5d5011fd2dcc5600a3"
+      "2ef5b52a1ecc820e308aa342721aac0943bf6686b64b2579376504ccc493d97e"
+      "6aed3fb0f9cd71a43dd497f01f17c0e2cb3797aa2a2f256656168e6c496afc5f"
+      "b93246f6b1116398a346f1a641f3b041e989f7914f90cc2c7fff357876e506b5"
+      "0d334ba77c225bc307ba537152f3f1610e4eafe595f6d9d90d11faa933a15ef1"
+      "369546868a7f3a45a96768d40fd9d03412c091c6315cf4fde7cb68606937380d"
+      "b2eaaa707b4c4185c32eddcdd306705e4dc1ffc872eeee475a64dfac86aba41c"
+      "0618983f8741c5ef68d3a101e8a3b8cac60c905c15fc910840b94c00a0b9d0");
+  ASSERT_EQ(msg.size(), 1023u);
+  auto kp = Ed25519KeyPairFromSeed(seed);
+  ASSERT_TRUE(kp.ok());
+  EXPECT_EQ(HexEncode(kp->public_key),
+            "278117fc144c72340f67d0f2316e8386ceffbf2b2428c9c51fef7c597f1d426e");
+  auto sig = Ed25519Sign(kp->private_key, msg);
+  ASSERT_TRUE(sig.ok());
+  EXPECT_EQ(HexEncode(*sig),
+            "0aab4c900501b3e24d7cdf4663326a3a87df5e4843b2cbdb67cbf6e460fec350"
+            "aa5371b1508f9f4528ecea23c436d94b5e8fcd4f681e30a6ac00a9704a188a03");
+  EXPECT_TRUE(Ed25519Verify(kp->public_key, msg, *sig));
+}
+
+TEST(Ed25519Test, Rfc8032TestShaAbc) {
+  Bytes seed =
+      Hx("833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42");
+  Bytes msg = Sha512::Hash(ToBytes("abc"));
+  auto kp = Ed25519KeyPairFromSeed(seed);
+  ASSERT_TRUE(kp.ok());
+  EXPECT_EQ(HexEncode(kp->public_key),
+            "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf");
+  auto sig = Ed25519Sign(kp->private_key, msg);
+  ASSERT_TRUE(sig.ok());
+  EXPECT_EQ(HexEncode(*sig),
+            "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589"
+            "09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704");
+  EXPECT_TRUE(Ed25519Verify(kp->public_key, msg, *sig));
 }
 
 TEST(Ed25519Test, VerifyRejectsTamperedMessage) {
@@ -560,6 +626,56 @@ TEST(Ed25519Test, VerifyRejectsWrongKey) {
   EXPECT_FALSE(Ed25519Verify(kp2->public_key, msg, *sig));
 }
 
+// RFC 8032 §5.1.7: S must be below the group order L. S + L names the same
+// point [S]B, so accepting it would give every signature a second encoding.
+TEST(Ed25519Test, VerifyRejectsNonCanonicalS) {
+  static constexpr uint8_t kL[32] = {
+      0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+      0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+      0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+  auto kp = Ed25519KeyPairFromSeed(Bytes(32, 0x33));
+  ASSERT_TRUE(kp.ok());
+  Bytes msg = ToBytes("audit log head");
+  auto sig = Ed25519Sign(kp->private_key, msg);
+  ASSERT_TRUE(sig.ok());
+  ASSERT_TRUE(Ed25519Verify(kp->public_key, msg, *sig));
+  Bytes malleated = *sig;
+  unsigned carry = 0;
+  for (size_t i = 0; i < 32; ++i) {
+    unsigned sum = malleated[32 + i] + kL[i] + carry;
+    malleated[32 + i] = static_cast<uint8_t>(sum);
+    carry = sum >> 8;
+  }
+  ASSERT_EQ(carry, 0u);
+  EXPECT_FALSE(Ed25519Verify(kp->public_key, msg, malleated));
+}
+
+// Pins the exact bytes of 256 seeded key derivations, signatures and
+// X25519 calls (random message lengths, u-coordinates with bit 255 set and
+// unreduced): any change to the curve arithmetic that alters one output
+// byte changes the digest. The digest was recorded from the earlier
+// TweetNaCl-style radix-2^16 implementation of the same functions.
+TEST(Ed25519Test, FrozenOutputsOfSeededCalls) {
+  Drbg drbg(ToBytes("curve25519 frozen outputs"));
+  Sha256 digest;
+  for (int i = 0; i < 256; ++i) {
+    Bytes seed = drbg.Generate(32);
+    auto kp = Ed25519KeyPairFromSeed(seed);
+    ASSERT_TRUE(kp.ok());
+    Bytes msg = drbg.Generate(drbg.Generate(1)[0]);
+    auto sig = Ed25519Sign(kp->private_key, msg);
+    ASSERT_TRUE(sig.ok());
+    Bytes u = drbg.Generate(32);
+    auto shared = X25519(seed, u);
+    ASSERT_TRUE(shared.ok());
+    digest.Update(kp->public_key);
+    digest.Update(*sig);
+    digest.Update(*shared);
+  }
+  EXPECT_EQ(HexEncode(digest.Final()),
+            "e6166907b3e6041e750ea27770218e51d29ab77351512e12ea3c5f9a0897b85e");
+}
+
 // ---------- X25519 (RFC 7748 §5.2 / §6.1) ----------
 
 TEST(X25519Test, Rfc7748Vector1) {
@@ -571,6 +687,36 @@ TEST(X25519Test, Rfc7748Vector1) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(HexEncode(*out),
             "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+}
+
+TEST(X25519Test, Rfc7748Vector2) {
+  // The u-coordinate has bit 255 set: X25519 must mask it off.
+  Bytes scalar =
+      Hx("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
+  Bytes point =
+      Hx("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
+  auto out = X25519(scalar, point);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(HexEncode(*out),
+            "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+}
+
+// RFC 7748 §5.2 iteration: k = u = 9, then k, u = X25519(k, u), k.
+TEST(X25519Test, Rfc7748Iterated) {
+  Bytes k(32, 0), u(32, 0);
+  k[0] = u[0] = 9;
+  for (int i = 1; i <= 1000; ++i) {
+    auto next = X25519(k, u);
+    ASSERT_TRUE(next.ok());
+    u = k;
+    k = *next;
+    if (i == 1) {
+      EXPECT_EQ(HexEncode(k),
+                "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(HexEncode(k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
 }
 
 TEST(X25519Test, Rfc7748DiffieHellman) {

@@ -149,6 +149,22 @@ TEST(HandshakeTest, FromSessionKeyPairInterops) {
   EXPECT_EQ(*back, ToBytes("hi"));
 }
 
+// RFC 7748 §6.1: a peer hello carrying a low-order point (u = 0 or u = 1)
+// forces an all-zero shared secret; Finish must refuse it, not key a
+// channel from it.
+TEST(HandshakeTest, FinishRejectsLowOrderPeerKey) {
+  for (uint8_t u : {uint8_t{0}, uint8_t{1}}) {
+    crypto::Drbg d(ToBytes("low order"));
+    Handshake h(&d);
+    ASSERT_TRUE(h.Start().ok());
+    Handshake::Hello hello{Bytes(32, 0)};
+    hello.ephemeral_public[0] = u;
+    auto chan = h.Finish(hello, true);
+    ASSERT_FALSE(chan.ok()) << "u = " << int{u};
+    EXPECT_EQ(chan.status().code(), StatusCode::kUnauthenticated);
+  }
+}
+
 TEST(HandshakeTest, FinishBeforeStartFails) {
   crypto::Drbg d(ToBytes("x"));
   Handshake h(&d);
