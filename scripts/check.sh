@@ -37,6 +37,9 @@ build_and_test() {
   # Both AES / SHA-256 implementations under this build's sanitizer.
   echo "==> crypto leg ${dir} (ctest -L crypto)"
   ctest --test-dir "$dir" -L crypto --output-on-failure -j "$JOBS"
+  # Seeded adversarial mutations of the row-format decoder.
+  echo "==> fuzz leg ${dir} (ctest -L fuzz)"
+  ctest --test-dir "$dir" -L fuzz --output-on-failure -j "$JOBS"
 }
 
 build_and_test build ""

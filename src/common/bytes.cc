@@ -112,6 +112,11 @@ void PutLengthPrefixed(Bytes* out, std::string_view v) {
   Append(out, v);
 }
 
+Result<uint8_t> ByteReader::ReadU8() {
+  if (remaining() < 1) return Status::InvalidArgument("truncated u8");
+  return data_[pos_++];
+}
+
 Result<uint16_t> ByteReader::ReadU16() {
   if (remaining() < 2) return Status::InvalidArgument("truncated u16");
   uint16_t v = GetU16(data_ + pos_);
@@ -146,8 +151,11 @@ Result<Bytes> ByteReader::ReadLengthPrefixed() {
 }
 
 Result<std::string> ByteReader::ReadLengthPrefixedString() {
-  ASSIGN_OR_RETURN(Bytes b, ReadLengthPrefixed());
-  return ToString(b);
+  ASSIGN_OR_RETURN(uint32_t n, ReadU32());
+  if (remaining() < n) return Status::InvalidArgument("truncated bytes");
+  std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
+  pos_ += n;
+  return out;
 }
 
 }  // namespace ironsafe

@@ -57,6 +57,7 @@ class ByteReader {
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
 
+  Result<uint8_t> ReadU8();
   Result<uint16_t> ReadU16();
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();

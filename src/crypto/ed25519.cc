@@ -288,9 +288,14 @@ Cached NegCached(const Cached& c) {
 }
 
 // Decodes a point (RFC 8032 §5.1.3, variable-time) using curve constants
-// d and sqrt(-1). Returns false when y has no matching x.
+// d and sqrt(-1). Returns false when y >= p, when y has no matching x,
+// and when x = 0 comes with the sign bit set.
 bool Decompress(P3* p, const uint8_t* s, const Fe& d, const Fe& sqrtm1) {
   p->y = FromBytes(s);
+  uint8_t canonical[32];
+  ToBytes(canonical, p->y);
+  canonical[31] |= s[31] & 0x80;
+  if (std::memcmp(canonical, s, 32) != 0) return false;
   p->z = kOne;
   const Fe yy = Sqr(p->y);
   const Fe u = Sub(yy, kOne);          // y^2 - 1
@@ -303,7 +308,9 @@ bool Decompress(P3* p, const uint8_t* s, const Fe& d, const Fe& sqrtm1) {
     if (!Equal(vxx, Neg(u))) return false;
     x = Mul(x, sqrtm1);
   }
-  if (IsNegative(x) != ((s[31] >> 7) != 0)) x = Neg(x);
+  const bool sign = (s[31] >> 7) != 0;
+  if (sign && Equal(x, kZero)) return false;
+  if (IsNegative(x) != sign) x = Neg(x);
   p->x = x;
   p->t = Mul(x, p->y);
   return true;
@@ -534,6 +541,10 @@ bool Ed25519Verify(const Bytes& public_key, const Bytes& message,
   const Curve& c = Constants();
   P3 a = kIdentity;
   if (!Decompress(&a, public_key.data(), c.d, c.sqrtm1)) return false;
+  // A small-order key ([8]A = identity: x = 0, y = z) verifies forged
+  // signatures, as libsodium also holds; no key made from a seed has one.
+  const P3 a8 = Dbl(Dbl(Dbl(a)));
+  if (Equal(a8.x, kZero) && Equal(a8.y, a8.z)) return false;
   a.x = Neg(a.x);
   a.t = Neg(a.t);
 

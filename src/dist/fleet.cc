@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/fault.h"
+#include "sql/column_batch.h"
 #include "sql/parser.h"
 
 namespace ironsafe::dist {
@@ -22,6 +23,42 @@ int RouteRow(int key_index, sql::PartitionKind kind, int64_t min_key,
   }
   int64_t offset = std::max<int64_t>(0, key - min_key);
   return static_cast<int>(std::min<int64_t>(offset / chunk, shard_count - 1));
+}
+
+/// Repacks per-shard streams into one host table's units: by ascending
+/// `key` column when `key` >= 0, else in group order. Partition keys are
+/// INTEGER (Load checks), so another tag there is an Internal error.
+Result<sql::BatchedRows> MergeStreams(
+    const std::vector<sql::BatchedRows>& streams, int key) {
+  constexpr uint64_t kUnit = sql::MemoryTable::kRowsPerMorsel;
+  sql::BatchedRows merged{streams[0].schema, {}};
+  std::vector<uint64_t> pos(streams.size(), 0), end;
+  for (const sql::BatchedRows& s : streams) end.push_back(s.row_count());
+  while (true) {
+    int best = -1;
+    int64_t best_key = 0;
+    for (size_t g = 0; g < streams.size(); ++g) {
+      if (pos[g] == end[g]) continue;
+      if (key < 0) {
+        best = static_cast<int>(g);
+        break;
+      }
+      const auto& col = streams[g].units[pos[g] / kUnit]->col(key);
+      const auto tag = static_cast<sql::Type>(col.tags[pos[g] % kUnit]);
+      if (tag != sql::Type::kInt64 && tag != sql::Type::kDate &&
+          tag != sql::Type::kNull) {
+        return Status::Internal("shard merge key is not an integer");
+      }
+      if (best < 0 || col.nums[pos[g] % kUnit] < best_key) {
+        best = static_cast<int>(g);
+        best_key = col.nums[pos[g] % kUnit];
+      }
+    }
+    if (best < 0) return merged;
+    const uint64_t r = pos[best]++;
+    sql::TailUnit(merged.schema.size(), &merged.units)
+        ->AppendFrom(*streams[best].units[r / kUnit], r % kUnit);
+  }
 }
 
 }  // namespace
@@ -226,8 +263,8 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   std::vector<sim::CostModel> children(groups,
                                        sim::CostModel(hardware_));
   std::vector<int> selected(groups, 0);  // current replica per group
-  std::vector<std::vector<sql::QueryResult>> shipped(plan.fragments.size());
-  for (auto& s : shipped) s.resize(groups);
+  std::vector<std::vector<sql::BatchedRows>> shipped(
+      plan.fragments.size(), std::vector<sql::BatchedRows>(groups));
   sim::SimNanos phase_start = outcome.cost.elapsed_ns();
 
   for (int g = 0; g < groups; ++g) {
@@ -290,45 +327,26 @@ Result<FleetOutcome> ShardedCsaFleet::Run(const std::string& sql) {
   auto host_db = sql::Database::CreateInMemory();
   for (size_t f = 0; f < plan.fragments.size(); ++f) {
     const FragmentPlacement& place = plan.fragments[f];
-    std::vector<sql::QueryResult>& streams = shipped[f];
-    const sql::Schema& schema =
-        streams[place.partitioned ? 0 : place.home_group].schema;
-    std::vector<sql::Row> merged;
+    std::vector<sql::BatchedRows>& streams = shipped[f];
+    sql::BatchedRows merged;
     if (!place.partitioned) {
-      merged = std::move(streams[place.home_group].rows);
-    } else if (plan.partial_aggregation || place.merge_key.empty()) {
-      for (sql::QueryResult& stream : streams) {
-        for (sql::Row& row : stream.rows) merged.push_back(std::move(row));
-      }
+      merged = std::move(streams[place.home_group]);
     } else {
-      int key = schema.Find(place.merge_key);
-      if (key < 0) {
-        return Status::Internal("merge key " + place.merge_key +
-                                " missing from shipped fragment " +
-                                place.fragment.dest_table);
-      }
-      std::vector<size_t> pos(groups, 0);
-      while (true) {
-        int best = -1;
-        int64_t best_key = 0;
-        for (int g = 0; g < groups; ++g) {
-          const auto& rows = streams[g].rows;
-          if (pos[g] >= rows.size()) continue;
-          int64_t k = rows[pos[g]][key].AsInt();
-          if (best < 0 || k < best_key) {
-            best = g;
-            best_key = k;
-          }
+      int key = -1;
+      if (!plan.partial_aggregation && !place.merge_key.empty()) {
+        key = streams[0].schema.Find(place.merge_key);
+        if (key < 0) {
+          return Status::Internal("merge key " + place.merge_key +
+                                  " missing from shipped fragment " +
+                                  place.fragment.dest_table);
         }
-        if (best < 0) break;
-        merged.push_back(std::move(streams[best].rows[pos[best]++]));
       }
+      ASSIGN_OR_RETURN(merged, MergeStreams(streams, key));
     }
     // The merge compares/moves each shipped row once on the host CPU.
-    outcome.cost.ChargeCycles(sim::Site::kHost, 64 * merged.size());
-    const std::string& dest = place.fragment.dest_table;
-    RETURN_IF_ERROR(host_db->CreateTable(dest, schema));
-    RETURN_IF_ERROR(host_db->BulkLoad(dest, merged, nullptr));
+    outcome.cost.ChargeCycles(sim::Site::kHost, 64 * merged.row_count());
+    RETURN_IF_ERROR(
+        host_db->CreateTable(place.fragment.dest_table, std::move(merged)));
   }
   merge_span.Close();
 

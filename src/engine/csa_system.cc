@@ -228,7 +228,7 @@ SplitExecution::SplitExecution(Options options, sim::CostModel* host_cost)
   if (options_.host_enclave != nullptr) options_.host_enclave->ClearMemory();
 }
 
-Result<sql::QueryResult> SplitExecution::ShipFragment(
+Result<sql::BatchedRows> SplitExecution::ShipFragment(
     const PartitionedQuery::StorageFragment& fragment,
     sql::Database* storage_db, ChannelPair* channels,
     sim::CostModel* storage_cost, sql::ExecStats* stats,
@@ -277,14 +277,14 @@ Result<sql::QueryResult> SplitExecution::ShipFragment(
           return opened;
         }));
   }
-  ASSIGN_OR_RETURN(sql::QueryResult shipped, net::DeserializeResult(wire));
+  ASSIGN_OR_RETURN(sql::BatchedRows shipped, net::DeserializeBatches(wire));
   // Materialized on the host inside the enclave, the rows occupy EPC.
   if (channels != nullptr) {
     options_.host_enclave->TouchMemory(0x10000 + shipped_bytes_ / 4096,
                                        wire_bytes, host_cost_);
   }
   ship_span.Tag("bytes", static_cast<int64_t>(wire_bytes));
-  ship_span.Tag("rows", static_cast<int64_t>(shipped.rows.size()));
+  ship_span.Tag("rows", static_cast<int64_t>(shipped.row_count()));
   return shipped;
 }
 
@@ -457,12 +457,11 @@ Status CsaSystem::RunSplit(const std::string& sql, bool secure,
                               frag.dest_table);
       break;
     }
-    ASSIGN_OR_RETURN(sql::QueryResult shipped,
+    ASSIGN_OR_RETURN(sql::BatchedRows shipped,
                      split.ShipFragment(frag, storage_db,
                                         secure ? &storage_.channels : nullptr,
                                         cost, &outcome->stats));
-    RETURN_IF_ERROR(host_db->CreateTable(frag.dest_table, shipped.schema));
-    RETURN_IF_ERROR(host_db->BulkLoad(frag.dest_table, shipped.rows, nullptr));
+    RETURN_IF_ERROR(host_db->CreateTable(frag.dest_table, std::move(shipped)));
   }
   outcome->shipped_bytes = split.shipped_bytes();
   outcome->storage_pages_read = access->pages_read();

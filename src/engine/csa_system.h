@@ -242,7 +242,8 @@ class SplitExecution {
   /// With `channels` the batch is sealed, re-sent under bounded retry
   /// (re-keying the pair after a reject) and received in the host
   /// enclave; without, it crosses the network in plaintext (vcs).
-  Result<sql::QueryResult> ShipFragment(
+  /// Returns the received rows as host-table units.
+  Result<sql::BatchedRows> ShipFragment(
       const PartitionedQuery::StorageFragment& fragment,
       sql::Database* storage_db, ChannelPair* channels,
       sim::CostModel* storage_cost, sql::ExecStats* stats,

@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include "sql/column_batch.h"
+
 namespace ironsafe::net {
 
 Bytes SerializeResult(const sql::QueryResult& result) {
@@ -16,19 +18,19 @@ Bytes SerializeResult(const sql::QueryResult& result) {
   return out;
 }
 
-Result<sql::QueryResult> DeserializeResult(const Bytes& wire) {
+Result<sql::BatchedRows> DeserializeBatches(const Bytes& wire) {
   ByteReader r(wire);
-  sql::QueryResult result;
+  sql::BatchedRows result;
   ASSIGN_OR_RETURN(uint32_t ncols, r.ReadU32());
   if (ncols > 4096) return Status::Corruption("implausible column count");
   for (uint32_t i = 0; i < ncols; ++i) {
     ASSIGN_OR_RETURN(std::string name, r.ReadLengthPrefixedString());
-    ASSIGN_OR_RETURN(Bytes type_tag, r.ReadBytes(1));
-    if (type_tag[0] > static_cast<uint8_t>(sql::Type::kDate)) {
+    ASSIGN_OR_RETURN(uint8_t type_tag, r.ReadU8());
+    if (type_tag > static_cast<uint8_t>(sql::Type::kDate)) {
       return Status::Corruption("unknown column type tag");
     }
     result.schema.AddColumn(
-        sql::Column{std::move(name), static_cast<sql::Type>(type_tag[0])});
+        sql::Column{std::move(name), static_cast<sql::Type>(type_tag)});
   }
   ASSIGN_OR_RETURN(uint64_t nrows, r.ReadU64());
   // Each serialized row needs at least its 2-byte arity header; a count
@@ -36,14 +38,19 @@ Result<sql::QueryResult> DeserializeResult(const Bytes& wire) {
   if (nrows > r.remaining() / 2) {
     return Status::Corruption("row count exceeds record batch size");
   }
-  result.rows.reserve(nrows);
   for (uint64_t i = 0; i < nrows; ++i) {
-    ASSIGN_OR_RETURN(sql::Row row, sql::DeserializeRow(&r));
-    if (row.size() != ncols) {
-      return Status::Corruption("row arity mismatch in record batch");
-    }
-    result.rows.push_back(std::move(row));
+    RETURN_IF_ERROR(
+        sql::TailUnit(ncols, &result.units)->AppendSerialized(&r));
   }
+  return result;
+}
+
+Result<sql::QueryResult> DeserializeResult(const Bytes& wire) {
+  ASSIGN_OR_RETURN(sql::BatchedRows batches, DeserializeBatches(wire));
+  sql::QueryResult result{batches.schema, {}};
+  ASSIGN_OR_RETURN(result.rows,
+                   sql::ReadRows(sql::MemoryTable("", std::move(batches)),
+                                 nullptr));
   return result;
 }
 

@@ -4,14 +4,18 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "sql/eval.h"
+#include "sql/table.h"
 
 namespace ironsafe::net {
 
 /// Record-batch serialization for shipping query results between the
 /// storage engine and the host engine (paper §5: "the sender serializes
 /// records and the receiver deserializes these records to be added to
-/// the in-memory table on the host").
+/// the in-memory table on the host"). The host decodes the shipped bytes
+/// straight into its in-memory table's column batches
+/// (DeserializeBatches); DeserializeResult materializes rows for a client.
 Bytes SerializeResult(const sql::QueryResult& result);
+Result<sql::BatchedRows> DeserializeBatches(const Bytes& wire);
 Result<sql::QueryResult> DeserializeResult(const Bytes& wire);
 
 }  // namespace ironsafe::net

@@ -17,53 +17,81 @@ int64_t NumPayload(const Value& v) {
 }
 }  // namespace
 
-void ColumnBatch::PushValue(size_t c, const Value& v) {
+void ColumnBatch::PushCell(size_t c, uint8_t tag, int64_t num,
+                           std::string str) {
   Col& col = cols_[c];
-  auto tag = static_cast<uint8_t>(v.type());
   if (!col.tags.empty() && tag != col.tags[0]) col.uniform_ = false;
   col.tags.push_back(tag);
-  col.nums.push_back(NumPayload(v));
-  if (v.is_null()) col.has_null = true;
-  if (v.type() == Type::kString) {
-    if (!col.has_string) {
-      col.has_string = true;
-      col.strs.resize(col.tags.size() - 1);
-    }
+  col.nums.push_back(num);
+  if (tag == static_cast<uint8_t>(Type::kNull)) col.has_null = true;
+  if (tag == static_cast<uint8_t>(Type::kString) && !col.has_string) {
+    col.has_string = true;
+    col.strs.resize(col.tags.size() - 1);
   }
-  if (col.has_string) {
-    col.strs.emplace_back(v.type() == Type::kString ? v.AsString()
-                                                    : std::string());
-  }
+  if (col.has_string) col.strs.push_back(std::move(str));
 }
 
-void ColumnBatch::AppendRow(const Row& row) {
-  size_t bytes = sizeof(Row) + row.size() * sizeof(Value);
-  for (size_t c = 0; c < cols_.size() && c < row.size(); ++c) {
-    PushValue(c, row[c]);
-    if (row[c].type() == Type::kString) bytes += row[c].AsString().size();
-  }
-  for (size_t c = row.size(); c < cols_.size(); ++c) {
-    PushValue(c, Value::Null());
-  }
+void ColumnBatch::EndRow(size_t bytes) {
   row_bytes_.push_back(static_cast<uint32_t>(bytes));
   total_row_bytes_ += bytes;
   ++rows_;
+}
+
+void ColumnBatch::AppendRow(const Row& row) {
+  static const Value kNull;
+  size_t bytes = sizeof(Row) + row.size() * sizeof(Value);
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const Value& v = c < row.size() ? row[c] : kNull;
+    const bool is_string = v.type() == Type::kString;
+    if (is_string) bytes += v.AsString().size();
+    PushCell(c, static_cast<uint8_t>(v.type()), NumPayload(v),
+             is_string ? v.AsString() : std::string());
+  }
+  EndRow(bytes);
+}
+
+void ColumnBatch::AppendFrom(const ColumnBatch& src, size_t r) {
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const Col& from = src.cols_[c];
+    PushCell(c, from.tags[r], from.nums[r],
+             from.has_string ? from.strs[r] : std::string());
+  }
+  EndRow(src.row_bytes_[r]);
 }
 
 Status ColumnBatch::AppendSerialized(ByteReader* reader) {
   ASSIGN_OR_RETURN(uint16_t n, reader->ReadU16());
-  if (n != cols_.size()) {
-    return Status::Corruption("row arity mismatch in page");
-  }
+  if (n != cols_.size()) return Status::Corruption("row arity mismatch");
   size_t bytes = sizeof(Row) + n * sizeof(Value);
   for (uint16_t c = 0; c < n; ++c) {
-    ASSIGN_OR_RETURN(Value v, Value::Deserialize(reader));
-    if (v.type() == Type::kString) bytes += v.AsString().size();
-    PushValue(c, v);
+    ASSIGN_OR_RETURN(uint8_t tag, reader->ReadU8());
+    uint64_t num = 0;
+    std::string str;
+    switch (static_cast<Type>(tag)) {
+      case Type::kNull:
+        break;
+      case Type::kBool: {
+        ASSIGN_OR_RETURN(uint8_t b, reader->ReadU8());
+        num = b != 0;
+        break;
+      }
+      case Type::kInt64:
+      case Type::kDouble:  // its IEEE-754 bit pattern, kept as is
+      case Type::kDate: {
+        ASSIGN_OR_RETURN(num, reader->ReadU64());
+        break;
+      }
+      case Type::kString: {
+        ASSIGN_OR_RETURN(str, reader->ReadLengthPrefixedString());
+        bytes += str.size();
+        break;
+      }
+      default:
+        return Status::Corruption("unknown value type tag");
+    }
+    PushCell(c, tag, static_cast<int64_t>(num), std::move(str));
   }
-  row_bytes_.push_back(static_cast<uint32_t>(bytes));
-  total_row_bytes_ += bytes;
-  ++rows_;
+  EndRow(bytes);
   return Status::OK();
 }
 

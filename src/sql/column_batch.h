@@ -67,9 +67,14 @@ class ColumnBatch {
   /// Appends `row`, padding missing columns with NULL and ignoring extra
   /// values — callers check arity.
   void AppendRow(const Row& row);
-  /// Appends one serialized row (u16 value count + tagged values) —
-  /// the heap-file page layout — decoding straight into the columns.
-  /// A value count other than num_cols() is Corruption.
+  /// Appends row `r` of `src` (same column count), cell by cell.
+  void AppendFrom(const ColumnBatch& src, size_t r);
+  /// The one decoder of the row format, shared by heap-file pages and
+  /// the wire's record batches: a u16 value count, then per value a tag
+  /// byte and its payload, read straight into the columns. A value count
+  /// other than num_cols() or an unknown tag is Corruption; truncation is
+  /// ByteReader's InvalidArgument. On error the batch is left partial and
+  /// must be discarded.
   Status AppendSerialized(ByteReader* reader);
 
   /// Rebuilds the Value at (col, row).
@@ -88,7 +93,8 @@ class ColumnBatch {
       const Bytes& page, size_t num_cols);
 
  private:
-  void PushValue(size_t c, const Value& v);
+  void PushCell(size_t c, uint8_t tag, int64_t num, std::string str);
+  void EndRow(size_t bytes);
 
   std::vector<Col> cols_;
   std::vector<uint32_t> row_bytes_;

@@ -46,20 +46,23 @@ std::unique_ptr<Database> Database::CreatePaged(PageStore* store) {
   return std::unique_ptr<Database>(new Database(store));
 }
 
-std::unique_ptr<Table> Database::NewTable(const std::string& name,
-                                          Schema schema) {
-  if (store_ == nullptr) {
-    return std::make_unique<MemoryTable>(name, std::move(schema));
-  }
-  return std::make_unique<PagedTable>(name, std::move(schema), store_);
+Status Database::CreateTable(const std::string& name, Schema schema) {
+  return CreateTable(name, BatchedRows{std::move(schema), {}});
 }
 
-Status Database::CreateTable(const std::string& name, Schema schema) {
+Status Database::CreateTable(const std::string& name, BatchedRows rows) {
   std::string key = Lower(name);
   if (tables_.count(key)) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  tables_[key] = NewTable(key, std::move(schema));
+  if (store_ == nullptr) {
+    tables_[key] = std::make_unique<MemoryTable>(key, std::move(rows));
+  } else if (rows.units.empty()) {
+    tables_[key] =
+        std::make_unique<PagedTable>(key, std::move(rows.schema), store_);
+  } else {
+    return Status::InvalidArgument("paged tables load row by row: " + name);
+  }
   return Status::OK();
 }
 

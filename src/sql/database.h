@@ -26,6 +26,9 @@ class Database {
   static std::unique_ptr<Database> CreatePaged(PageStore* store);
 
   Status CreateTable(const std::string& name, Schema schema);
+  /// An in-memory table that holds `rows`' units as they are (a shipped
+  /// fragment on the host); a paged database refuses units.
+  Status CreateTable(const std::string& name, BatchedRows rows);
   Result<Table*> GetTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;
 
@@ -47,8 +50,6 @@ class Database {
 
  private:
   explicit Database(PageStore* store) : store_(store) {}
-
-  std::unique_ptr<Table> NewTable(const std::string& name, Schema schema);
 
   PageStore* store_;  // null => in-memory tables
   std::unique_ptr<PageStore> owned_store_;

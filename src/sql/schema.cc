@@ -62,17 +62,6 @@ void SerializeRow(const Row& row, Bytes* out) {
   for (const Value& v : row) v.Serialize(out);
 }
 
-Result<Row> DeserializeRow(ByteReader* reader) {
-  ASSIGN_OR_RETURN(uint16_t n, reader->ReadU16());
-  Row row;
-  row.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(Value v, Value::Deserialize(reader));
-    row.push_back(std::move(v));
-  }
-  return row;
-}
-
 size_t RowBytes(const Row& row) {
   size_t total = sizeof(Row) + row.size() * sizeof(Value);
   for (const Value& v : row) {

@@ -50,9 +50,9 @@ class Schema {
 /// A tuple matching some Schema positionally.
 using Row = std::vector<Value>;
 
-/// Serializes a row (values only; schema travels separately).
+/// Serializes a row (values only; schema travels separately);
+/// ColumnBatch::AppendSerialized decodes it.
 void SerializeRow(const Row& row, Bytes* out);
-Result<Row> DeserializeRow(ByteReader* reader);
 
 /// Approximate in-memory footprint of a row, for memory accounting.
 size_t RowBytes(const Row& row);

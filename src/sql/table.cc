@@ -51,27 +51,34 @@ Status Table::Rewrite(const std::function<Result<bool>(Row*, bool*)>& fn,
 
 // ------------------------------------------------------ MemoryTable ----
 
-namespace {
-/// Appends `row` to the tail unit of `units`, opening a new unit when the
-/// tail is full. A tail that a scan still holds is copied first, so a
-/// batch once handed out never changes.
-void AppendToUnits(const Row& row, size_t num_cols,
-                   std::vector<std::shared_ptr<ColumnBatch>>* units) {
+uint64_t BatchedRows::row_count() const {
+  uint64_t rows = 0;
+  for (const auto& unit : units) rows += unit->rows();
+  return rows;
+}
+
+ColumnBatch* TailUnit(size_t num_cols,
+                      std::vector<std::shared_ptr<ColumnBatch>>* units) {
   if (units->empty() ||
       units->back()->rows() == MemoryTable::kRowsPerMorsel) {
     units->push_back(std::make_shared<ColumnBatch>(num_cols));
   } else if (units->back().use_count() > 1) {
     units->back() = std::make_shared<ColumnBatch>(*units->back());
   }
-  units->back()->AppendRow(row);
+  return units->back().get();
 }
-}  // namespace
+
+MemoryTable::MemoryTable(std::string name, BatchedRows rows)
+    : Table(std::move(name), std::move(rows.schema)) {
+  row_count_ = rows.row_count();
+  units_ = std::move(rows.units);
+}
 
 Status MemoryTable::Append(const Row& row, sim::CostModel* cost) {
   (void)cost;
   // Checked here because ColumnBatch::AppendRow pads a short row.
   RETURN_IF_ERROR(CheckRow(row));
-  AppendToUnits(row, schema().size(), &units_);
+  TailUnit(schema().size(), &units_)->AppendRow(row);
   ++row_count_;
   return Status::OK();
 }
@@ -158,13 +165,11 @@ Result<DecodedMorsel> PagedTable::DecodeMorselBatch(
   if (unit < page_ids_.size()) {
     return store_->ReadBatch(page_ids_[unit], schema().size(), cost);
   }
-  // The trailing pseudo-page of unflushed rows is never cached: it has
-  // no page id and mutates on every Append.
-  auto batch = std::make_shared<ColumnBatch>(schema().size());
-  for (const Bytes& serialized : buffer_) {
-    ByteReader reader(serialized);
-    RETURN_IF_ERROR(batch->AppendSerialized(&reader));
-  }
+  // The trailing pseudo-page of unflushed rows decodes as the page it
+  // will become, but is never cached: it has no page id and mutates on
+  // every Append.
+  ASSIGN_OR_RETURN(auto batch,
+                   ColumnBatch::FromPage(BuildPage(buffer_), schema().size()));
   return DecodedMorsel{std::move(batch), false};
 }
 

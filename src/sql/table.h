@@ -79,6 +79,23 @@ class Table {
 /// DecodeMorselBatch (page reads and security work charged to `cost`).
 Result<std::vector<Row>> ReadRows(const Table& table, sim::CostModel* cost);
 
+/// A relation as MemoryTable stores it: column batches of
+/// MemoryTable::kRowsPerMorsel rows, full units then at most one partial
+/// tail. A shipped fragment is decoded into this form and becomes a host
+/// table as it is.
+struct BatchedRows {
+  Schema schema;
+  std::vector<std::shared_ptr<ColumnBatch>> units;
+
+  uint64_t row_count() const;
+};
+
+/// The unit the next row goes to: the tail of `units`, or a new unit of
+/// `num_cols` columns when the tail is full. A tail that a scan still
+/// holds is copied first, so a batch once handed out never changes.
+ColumnBatch* TailUnit(size_t num_cols,
+                      std::vector<std::shared_ptr<ColumnBatch>>* units);
+
 /// Rows in RAM, stored once as column batches of kRowsPerMorsel rows —
 /// the host engine's shipped intermediates and small in-memory
 /// databases. A scan hands out the stored batches themselves; an Append
@@ -86,8 +103,8 @@ Result<std::vector<Row>> ReadRows(const Table& table, sim::CostModel* cost);
 /// first), so handed-out batches stay immutable.
 class MemoryTable : public Table {
  public:
-  MemoryTable(std::string name, Schema schema)
-      : Table(std::move(name), std::move(schema)) {}
+  /// Holds `rows`' units as they are.
+  MemoryTable(std::string name, BatchedRows rows);
 
   Status Append(const Row& row, sim::CostModel* cost) override;
   uint64_t row_count() const override { return row_count_; }

@@ -124,38 +124,6 @@ void Value::Serialize(Bytes* out) const {
   }
 }
 
-Result<Value> Value::Deserialize(ByteReader* reader) {
-  ASSIGN_OR_RETURN(Bytes tag, reader->ReadBytes(1));
-  Type t = static_cast<Type>(tag[0]);
-  switch (t) {
-    case Type::kNull:
-      return Value::Null();
-    case Type::kBool: {
-      ASSIGN_OR_RETURN(Bytes b, reader->ReadBytes(1));
-      return Value::Bool(b[0] != 0);
-    }
-    case Type::kInt64: {
-      ASSIGN_OR_RETURN(uint64_t v, reader->ReadU64());
-      return Value::Int(static_cast<int64_t>(v));
-    }
-    case Type::kDate: {
-      ASSIGN_OR_RETURN(uint64_t v, reader->ReadU64());
-      return Value::Date(static_cast<int64_t>(v));
-    }
-    case Type::kDouble: {
-      ASSIGN_OR_RETURN(uint64_t bits, reader->ReadU64());
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      return Value::Double(d);
-    }
-    case Type::kString: {
-      ASSIGN_OR_RETURN(std::string s, reader->ReadLengthPrefixedString());
-      return Value::String(std::move(s));
-    }
-  }
-  return Status::Corruption("unknown value type tag");
-}
-
 // ---- Date helpers (proleptic Gregorian, civil-days algorithms) ----
 
 namespace {

@@ -61,9 +61,9 @@ class Value {
   /// Hash consistent with operator== for numeric cross-type equality.
   size_t Hash() const;
 
-  // ---- Serialization (for page storage and network shipping) ----
+  /// Appends the row-format encoding: a tag byte, then the payload.
+  /// ColumnBatch::AppendSerialized is the decoder.
   void Serialize(Bytes* out) const;
-  static Result<Value> Deserialize(ByteReader* reader);
 
  private:
   Value(Type t, int64_t v) : type_(t), int_(v) {}

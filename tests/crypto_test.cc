@@ -650,6 +650,46 @@ TEST(Ed25519Test, VerifyRejectsNonCanonicalS) {
   EXPECT_FALSE(Ed25519Verify(kp->public_key, msg, malleated));
 }
 
+// RFC 8032 §5.1.3 decoding plus small-order rejection: each of these
+// public keys is the identity or a small-order point, so with R = the
+// identity and S = 0 it would "verify" every message.
+TEST(Ed25519Test, RejectsNonCanonicalAndSmallOrderKeys) {
+  auto encoding = [](uint8_t first, uint8_t fill, uint8_t last) {
+    Bytes b(32, fill);
+    b[0] = first;
+    b[31] = last;
+    return b;
+  };
+  const Bytes identity = encoding(0x01, 0x00, 0x00);
+  const Bytes y_p_plus_1 = encoding(0xee, 0xff, 0x7f);  // identity, y >= p
+  const Bytes keys[] = {
+      y_p_plus_1,
+      identity,
+      encoding(0x01, 0x00, 0x80),  // x = 0 with the sign bit set
+      encoding(0xec, 0xff, 0x7f),  // y = -1: order 2
+      encoding(0x00, 0x00, 0x00),  // y = 0: order 4
+  };
+  Bytes forged = identity;
+  forged.resize(64, 0);  // R = identity, S = 0
+  for (const Bytes& key : keys) {
+    for (int m = 0; m < 8; ++m) {
+      EXPECT_FALSE(Ed25519Verify(key, ToBytes("m" + std::to_string(m)), forged))
+          << HexEncode(key) << " message " << m;
+    }
+  }
+  // R is compared bytewise with the canonical encoding of R', so its
+  // y = p + 1 form never matches, even for the point it names.
+  Bytes noncanonical_r = y_p_plus_1;
+  noncanonical_r.resize(64, 0);
+  auto kp = Ed25519KeyPairFromSeed(Bytes(32, 0x44));
+  ASSERT_TRUE(kp.ok());
+  EXPECT_FALSE(Ed25519Verify(identity, ToBytes("m"), noncanonical_r));
+  EXPECT_FALSE(Ed25519Verify(kp->public_key, ToBytes("m"), noncanonical_r));
+  auto sig = Ed25519Sign(kp->private_key, ToBytes("m"));
+  ASSERT_TRUE(sig.ok());
+  EXPECT_TRUE(Ed25519Verify(kp->public_key, ToBytes("m"), *sig));
+}
+
 // Pins the exact bytes of 256 seeded key derivations, signatures and
 // X25519 calls (random message lengths, u-coordinates with bit 255 set and
 // unreduced): any change to the curve arithmetic that alters one output

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "net/secure_channel.h"
 #include "net/wire.h"
+#include "sql/column_batch.h"
 
 namespace ironsafe::net {
 namespace {
@@ -213,6 +216,94 @@ TEST(WireTest, UnknownColumnTypeTagIsCorruption) {
   auto back = DeserializeResult(wire);
   ASSERT_FALSE(back.ok());
   EXPECT_TRUE(back.status().IsCorruption()) << back.status().ToString();
+}
+
+sql::Value DoubleFromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return sql::Value::Double(d);
+}
+
+/// Column 0 is BOOL so row 0's payload byte sits right after the header;
+/// column 2 mixes INT and DOUBLE tags.
+sql::QueryResult UnitRows(size_t n) {
+  sql::QueryResult result;
+  result.schema.AddColumn(sql::Column{"b", sql::Type::kBool});
+  result.schema.AddColumn(sql::Column{"i", sql::Type::kInt64});
+  result.schema.AddColumn(sql::Column{"mix", sql::Type::kDouble});
+  result.schema.AddColumn(sql::Column{"s", sql::Type::kString});
+  result.schema.AddColumn(sql::Column{"d", sql::Type::kDate});
+  for (size_t i = 0; i < n; ++i) {
+    const auto k = static_cast<int64_t>(i);
+    sql::Value mix = i % 2 == 0 ? sql::Value::Int(k)
+                                : sql::Value::Double(static_cast<double>(k) / 4);
+    if (i % 11 == 3) mix = sql::Value::Double(-0.0);
+    if (i % 13 == 5) mix = DoubleFromBits(0x7ff8000000000123ULL);
+    if (i % 17 == 7) mix = sql::Value::Null();
+    sql::Value str = sql::Value::String("s" + std::to_string(i));
+    if (i % 5 == 0) str = sql::Value::String("");
+    if (i % 97 == 1) str = sql::Value::String(std::string(3 * 1024, 'k'));
+    result.rows.push_back(sql::Row{
+        sql::Value::Bool(i % 3 == 0),
+        i % 7 == 6 ? sql::Value::Null() : sql::Value::Int(-k),
+        mix, str,
+        i % 19 == 2 ? sql::Value::Null() : sql::Value::Date(9000 + k)});
+  }
+  return result;
+}
+
+void ExpectSameCol(const sql::ColumnBatch::Col& want,
+                   const sql::ColumnBatch::Col& got, const std::string& at) {
+  EXPECT_EQ(got.tags, want.tags) << at;
+  EXPECT_EQ(got.nums, want.nums) << at;
+  EXPECT_EQ(got.strs, want.strs) << at;
+  EXPECT_EQ(got.has_null, want.has_null) << at;
+  EXPECT_EQ(got.has_string, want.has_string) << at;
+  EXPECT_EQ(got.uniform(), want.uniform()) << at;
+  EXPECT_EQ(got.first_tag(), want.first_tag()) << at;
+}
+
+TEST(WireTest, DecodedUnitsEqualAppendedUnits) {
+  for (size_t n : {0, 1, 1023, 1024, 1025, 2049}) {
+    SCOPED_TRACE("rows " + std::to_string(n));
+    sql::QueryResult result = UnitRows(n);
+    sql::MemoryTable appended("t", {result.schema, {}});
+    for (const sql::Row& row : result.rows) {
+      ASSERT_TRUE(appended.Append(row, nullptr).ok());
+    }
+    Bytes wire = SerializeResult(result);
+    if (n > 0) {
+      // Any nonzero bool payload byte decodes as true.
+      const size_t payload = SerializeResult({result.schema, {}}).size() + 3;
+      ASSERT_EQ(wire[payload], 1);
+      wire[payload] = 2;
+    }
+    auto decoded = DeserializeBatches(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->schema.ToString(), result.schema.ToString());
+    EXPECT_EQ(decoded->row_count(), n);
+    ASSERT_EQ(decoded->units.size(), appended.morsel_units());
+    for (size_t u = 0; u < decoded->units.size(); ++u) {
+      const sql::ColumnBatch& got = *decoded->units[u];
+      auto want_unit = appended.DecodeMorselBatch(u, nullptr);
+      ASSERT_TRUE(want_unit.ok());
+      const sql::ColumnBatch& want = *want_unit->batch;
+      ASSERT_EQ(got.rows(), want.rows()) << "unit " << u;
+      ASSERT_EQ(got.num_cols(), want.num_cols());
+      for (size_t c = 0; c < got.num_cols(); ++c) {
+        ExpectSameCol(want.col(c), got.col(c),
+                      "unit " + std::to_string(u) + " col " +
+                          std::to_string(c));
+      }
+      for (size_t r = 0; r < got.rows(); ++r) {
+        EXPECT_EQ(got.row_bytes(r), want.row_bytes(r)) << "row " << r;
+        EXPECT_EQ(got.row_bytes(r),
+                  sql::RowBytes(
+                      result.rows[u * sql::MemoryTable::kRowsPerMorsel + r]));
+      }
+      EXPECT_EQ(got.total_row_bytes(), want.total_row_bytes());
+    }
+  }
 }
 
 TEST(WireTest, GarbageRejected) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "sql/column_batch.h"
 #include "sql/schema.h"
 #include "sql/value.h"
 
@@ -48,14 +49,17 @@ TEST(ValueTest, SerializationRoundTrip) {
       Value::Double(2.25),    Value::String("hello"), Value::Date(9000),
       Value::String(""),      Value::Int(INT64_MIN),
   };
+  // One row of every value, decoded by the row-format decoder.
   Bytes buf;
+  PutU16(&buf, static_cast<uint16_t>(values.size()));
   for (const Value& v : values) v.Serialize(&buf);
   ByteReader reader(buf);
-  for (const Value& v : values) {
-    auto back = Value::Deserialize(&reader);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->type(), v.type());
-    EXPECT_EQ(back->Compare(v), 0);
+  ColumnBatch batch(values.size());
+  ASSERT_TRUE(batch.AppendSerialized(&reader).ok());
+  for (size_t c = 0; c < values.size(); ++c) {
+    Value back = batch.GetValue(c, 0);
+    EXPECT_EQ(back.type(), values[c].type());
+    EXPECT_EQ(back.Compare(values[c]), 0);
   }
   EXPECT_TRUE(reader.AtEnd());
 }
@@ -137,10 +141,15 @@ TEST(SchemaTest, RowSerializationRoundTrip) {
   Bytes buf;
   SerializeRow(row, &buf);
   ByteReader reader(buf);
-  auto back = DeserializeRow(&reader);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->size(), 3u);
-  EXPECT_EQ((*back)[1].AsString(), "ship");
+  ColumnBatch batch(row.size());
+  ASSERT_TRUE(batch.AppendSerialized(&reader).ok());
+  Row back;
+  batch.MaterializeRow(0, &back);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[1].AsString(), "ship");
+  EXPECT_EQ(back[2].type(), Type::kDate);
+  EXPECT_EQ(batch.row_bytes(0), RowBytes(row));
+  EXPECT_TRUE(reader.AtEnd());
 }
 
 }  // namespace

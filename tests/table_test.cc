@@ -214,7 +214,7 @@ Row NumberedRow(int64_t i) {
 }
 
 TEST(MemoryTableUnits, StoresRowsAsFullUnitsThenATail) {
-  MemoryTable table("t", TwoColumns());
+  MemoryTable table("t", {TwoColumns(), {}});
   constexpr int64_t kRows = 2 * MemoryTable::kRowsPerMorsel + 452;
   size_t bytes = 0;
   for (int64_t i = 0; i < kRows; ++i) {
@@ -245,7 +245,7 @@ TEST(MemoryTableUnits, StoresRowsAsFullUnitsThenATail) {
 }
 
 TEST(MemoryTableUnits, ScansShareTheStoredBatch) {
-  MemoryTable table("t", TwoColumns());
+  MemoryTable table("t", {TwoColumns(), {}});
   for (int64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(table.Append(NumberedRow(i), nullptr).ok());
   }
@@ -258,7 +258,7 @@ TEST(MemoryTableUnits, ScansShareTheStoredBatch) {
 }
 
 TEST(MemoryTableUnits, AppendAfterScanLeavesTheHeldBatchUnchanged) {
-  MemoryTable table("t", TwoColumns());
+  MemoryTable table("t", {TwoColumns(), {}});
   std::vector<Row> before;
   for (int64_t i = 0; i < 10; ++i) {
     before.push_back(NumberedRow(i));
@@ -290,7 +290,7 @@ TEST(MemoryTableUnits, AppendAfterScanLeavesTheHeldBatchUnchanged) {
 }
 
 TEST(MemoryTableUnits, RewriteRebuildsUnitsAndKeepsHeldBatches) {
-  MemoryTable table("t", TwoColumns());
+  MemoryTable table("t", {TwoColumns(), {}});
   constexpr int64_t kRows = 3 * MemoryTable::kRowsPerMorsel + 7;
   for (int64_t i = 0; i < kRows; ++i) {
     ASSERT_TRUE(table.Append(NumberedRow(i), nullptr).ok());
