@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
 #include "sql/column_batch.h"
 
 namespace ironsafe::net {
@@ -39,8 +41,14 @@ Result<sql::BatchedRows> DeserializeBatches(const Bytes& wire) {
     return Status::Corruption("row count exceeds record batch size");
   }
   for (uint64_t i = 0; i < nrows; ++i) {
-    RETURN_IF_ERROR(
-        sql::TailUnit(ncols, &result.units)->AppendSerialized(&r));
+    sql::ColumnBatch* unit = sql::TailUnit(ncols, &result.units);
+    if (unit->rows() == 0) {
+      // A serialized row is at least its u16 arity and one tag per column.
+      unit->Reserve(std::min<uint64_t>({nrows - i,
+                                         sql::MemoryTable::kRowsPerMorsel,
+                                         r.remaining() / (2 + ncols)}));
+    }
+    RETURN_IF_ERROR(unit->AppendSerialized(&r));
   }
   return result;
 }

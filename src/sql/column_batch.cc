@@ -1,5 +1,6 @@
 #include "sql/column_batch.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ironsafe::sql {
@@ -26,6 +27,7 @@ void ColumnBatch::PushCell(size_t c, uint8_t tag, int64_t num,
   if (tag == static_cast<uint8_t>(Type::kNull)) col.has_null = true;
   if (tag == static_cast<uint8_t>(Type::kString) && !col.has_string) {
     col.has_string = true;
+    col.strs.reserve(col.tags.capacity());
     col.strs.resize(col.tags.size() - 1);
   }
   if (col.has_string) col.strs.push_back(std::move(str));
@@ -57,6 +59,14 @@ void ColumnBatch::AppendFrom(const ColumnBatch& src, size_t r) {
              from.has_string ? from.strs[r] : std::string());
   }
   EndRow(src.row_bytes_[r]);
+}
+
+void ColumnBatch::Reserve(size_t rows) {
+  for (Col& col : cols_) {
+    col.tags.reserve(col.tags.size() + rows);
+    col.nums.reserve(col.nums.size() + rows);
+  }
+  row_bytes_.reserve(row_bytes_.size() + rows);
 }
 
 Status ColumnBatch::AppendSerialized(ByteReader* reader) {
@@ -128,10 +138,60 @@ Result<std::shared_ptr<const ColumnBatch>> ColumnBatch::FromPage(
   auto batch = std::make_shared<ColumnBatch>(num_cols);
   ByteReader reader(page);
   ASSIGN_OR_RETURN(uint16_t n, reader.ReadU16());
+  // A serialized row is at least its u16 arity and one tag per column.
+  batch->Reserve(std::min<size_t>(
+      {n, kBatchRows, reader.remaining() / (2 + num_cols)}));
   for (uint16_t i = 0; i < n; ++i) {
     RETURN_IF_ERROR(batch->AppendSerialized(&reader));
   }
   return std::shared_ptr<const ColumnBatch>(std::move(batch));
+}
+
+std::shared_ptr<const ColumnBatch> ColumnBatch::GatherPairs(
+    const std::vector<RowPair>& pairs, size_t left_cols, size_t right_cols) {
+  auto out = std::make_shared<ColumnBatch>(left_cols + right_cols);
+  const size_t n = pairs.size();
+  // Every output row boxes left_cols + right_cols values; string cells
+  // add their lengths as the columns fill.
+  out->row_bytes_.assign(
+      n, static_cast<uint32_t>(sizeof(Row) + out->num_cols() * sizeof(Value)));
+  for (size_t c = 0; c < left_cols; ++c) {
+    out->GatherColumn(c, pairs, &RowPair::left, c);
+  }
+  for (size_t c = 0; c < right_cols; ++c) {
+    out->GatherColumn(left_cols + c, pairs, &RowPair::right, c);
+  }
+  for (uint32_t bytes : out->row_bytes_) out->total_row_bytes_ += bytes;
+  out->rows_ = n;
+  return out;
+}
+
+void ColumnBatch::GatherColumn(size_t c, const std::vector<RowPair>& pairs,
+                               RowRef RowPair::*side, size_t src_c) {
+  constexpr auto kNullTag = static_cast<uint8_t>(Type::kNull);
+  constexpr auto kStringTag = static_cast<uint8_t>(Type::kString);
+  const size_t n = pairs.size();
+  Col& col = cols_[c];
+  col.tags.resize(n);
+  col.nums.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const RowRef& ref = pairs[i].*side;
+    const Col& src = ref.batch->cols_[src_c];
+    const uint8_t tag = src.tags[ref.row];
+    col.tags[i] = tag;
+    col.nums[i] = src.nums[ref.row];
+    if (tag != col.tags[0]) col.uniform_ = false;
+    if (tag == kNullTag) {
+      col.has_null = true;
+    } else if (tag == kStringTag) {
+      if (!col.has_string) {
+        col.has_string = true;
+        col.strs.resize(n);
+      }
+      col.strs[i] = src.strs[ref.row];
+      row_bytes_[i] += static_cast<uint32_t>(col.strs[i].size());
+    }
+  }
 }
 
 }  // namespace ironsafe::sql

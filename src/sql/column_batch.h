@@ -12,9 +12,24 @@ namespace ironsafe::sql {
 
 /// Selection vector: indices of the active rows of a ColumnBatch, in
 /// ascending order. Operators narrow the selection instead of copying
-/// rows; rows materialize only at pipeline breakers (join emit, final
-/// projection).
+/// rows; rows materialize only at the final projection (joins gather
+/// cells straight from their input batches).
 using SelVec = std::vector<uint32_t>;
+
+class ColumnBatch;
+
+/// One row of a batch, by reference: what a join collects per match
+/// instead of boxing the row.
+struct RowRef {
+  const ColumnBatch* batch;
+  uint32_t row;
+};
+
+/// A join match: a row of the left input and a row of the right.
+struct RowPair {
+  RowRef left;
+  RowRef right;
+};
 
 /// Column-major decode of up to ~2K rows — the unit of batch-at-a-time
 /// execution. A batch is decoded once from a (decrypted) page or row
@@ -69,6 +84,11 @@ class ColumnBatch {
   void AppendRow(const Row& row);
   /// Appends row `r` of `src` (same column count), cell by cell.
   void AppendFrom(const ColumnBatch& src, size_t r);
+  /// Reserves the per-row arrays for `rows` more rows. A string column's
+  /// array stays unallocated until its first string, and then takes the
+  /// same capacity. Decoders pass a row count capped by the bytes left
+  /// to read, so no reservation is sized by an untrusted count alone.
+  void Reserve(size_t rows);
   /// The one decoder of the row format, shared by heap-file pages and
   /// the wire's record batches: a u16 value count, then per value a tag
   /// byte and its payload, read straight into the columns. A value count
@@ -92,9 +112,22 @@ class ColumnBatch {
   static Result<std::shared_ptr<const ColumnBatch>> FromPage(
       const Bytes& page, size_t num_cols);
 
+  /// A join's output unit: row i is the `left_cols` cells of
+  /// pairs[i].left followed by the `right_cols` cells of pairs[i].right,
+  /// copied column by column (each column sized once, its string array
+  /// allocated only when a string cell appears). Every cell, flag and
+  /// row_bytes equals what AppendRow of the two materialized rows,
+  /// concatenated, would build.
+  static std::shared_ptr<const ColumnBatch> GatherPairs(
+      const std::vector<RowPair>& pairs, size_t left_cols,
+      size_t right_cols);
+
  private:
   void PushCell(size_t c, uint8_t tag, int64_t num, std::string str);
   void EndRow(size_t bytes);
+  /// Fills output column `c` from column `src_c` of each pair's `side`.
+  void GatherColumn(size_t c, const std::vector<RowPair>& pairs,
+                    RowRef RowPair::*side, size_t src_c);
 
   std::vector<Col> cols_;
   std::vector<uint32_t> row_bytes_;

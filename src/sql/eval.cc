@@ -1,6 +1,7 @@
 #include "sql/eval.h"
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 
 namespace ironsafe::sql {
@@ -302,8 +303,9 @@ Result<Value> Evaluator::EvalSubqueryExpr(const Expr& e,
   if (subqueries_ == nullptr) {
     return Status::FailedPrecondition("no subquery runner in this context");
   }
-  ASSIGN_OR_RETURN(QueryResult result,
+  ASSIGN_OR_RETURN(std::shared_ptr<const QueryResult> shared,
                    subqueries_->RunSubquery(*e.subquery, &scope));
+  const QueryResult& result = *shared;
   switch (e.kind) {
     case ExprKind::kScalarSubquery: {
       if (result.rows.empty()) return Value::Null();

@@ -2,6 +2,7 @@
 #define IRONSAFE_SQL_EVAL_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,8 +36,11 @@ struct EvalScope {
 class SubqueryRunner {
  public:
   virtual ~SubqueryRunner() = default;
-  virtual Result<QueryResult> RunSubquery(const SelectStmt& stmt,
-                                          const EvalScope* outer) = 0;
+  /// The subquery's result, read in place by the evaluator. A memoized
+  /// (uncorrelated) subquery returns the same shared result on every
+  /// call, so evaluating it per outer row copies no rows.
+  virtual Result<std::shared_ptr<const QueryResult>> RunSubquery(
+      const SelectStmt& stmt, const EvalScope* outer) = 0;
 
   /// True if the runner memoized `stmt` (i.e. it is uncorrelated and its
   /// result is row-independent) — lets IN-subquery evaluation build its

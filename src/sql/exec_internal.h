@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "obs/access_trace.h"
 #include "obs/trace.h"
+#include "sql/column_batch.h"
 #include "sql/executor.h"
 #include "sql/schema.h"
 #include "sql/table.h"
@@ -66,21 +67,25 @@ class ExecSubqueryRunner : public SubqueryRunner {
   }
 
   /// Uncorrelated subqueries execute once and are cached (keyed by AST
-  /// node); a subquery that fails without the outer scope is correlated
-  /// and re-executes per outer row.
-  Result<QueryResult> RunSubquery(const SelectStmt& stmt,
-                                  const EvalScope* outer) override {
+  /// node); every later call shares the cached result. A subquery that
+  /// fails without the outer scope is correlated and re-executes per
+  /// outer row.
+  Result<std::shared_ptr<const QueryResult>> RunSubquery(
+      const SelectStmt& stmt, const EvalScope* outer) override {
     auto it = cache_.find(&stmt);
     if (it != cache_.end()) return it->second;
     if (!correlated_.count(&stmt)) {
       auto r = ExecuteSelect(db_, stmt, nullptr, cost_, opts_);
       if (r.ok()) {
-        cache_.emplace(&stmt, *r);
-        return *r;
+        auto shared = std::make_shared<const QueryResult>(std::move(*r));
+        cache_.emplace(&stmt, shared);
+        return shared;
       }
       correlated_.insert(&stmt);
     }
-    return ExecuteSelect(db_, stmt, outer, cost_, opts_);
+    ASSIGN_OR_RETURN(QueryResult result,
+                     ExecuteSelect(db_, stmt, outer, cost_, opts_));
+    return std::make_shared<const QueryResult>(std::move(result));
   }
 
   bool IsCached(const SelectStmt& stmt) const override {
@@ -91,7 +96,7 @@ class ExecSubqueryRunner : public SubqueryRunner {
   Database* db_;
   sim::CostModel* cost_;
   ExecOptions opts_;
-  std::map<const SelectStmt*, QueryResult> cache_;
+  std::map<const SelectStmt*, std::shared_ptr<const QueryResult>> cache_;
   std::set<const SelectStmt*> correlated_;
 };
 
@@ -324,6 +329,40 @@ Status MergeSlices(Ctx* ctx, std::vector<S>* slices, std::string_view name,
   }
   return Status::OK();
 }
+
+// ---- The plain pipeline's relations ----
+
+/// A relation as a sequence of column batches with selection vectors —
+/// the plain pipeline's intermediate representation.
+struct VecRel {
+  Schema schema;
+  std::vector<VecBatch> batches;
+
+  size_t ActiveRows() const {
+    size_t n = 0;
+    for (const VecBatch& b : batches) n += b.active();
+    return n;
+  }
+  /// Working-set bytes of the active rows under the boxed-row
+  /// accounting (RowBytes), the same figure the oblivious mode tracks.
+  uint64_t ActiveBytes() const {
+    uint64_t total = 0;
+    for (const VecBatch& b : batches) {
+      for (uint32_t i : b.sel) total += b.batch->row_bytes(i);
+    }
+    return total;
+  }
+};
+
+/// The plain pipeline's join (vector_executor.cc): a hash join on the
+/// equi keys ClassifyJoinPredicates finds, else a nested loop. Matches
+/// are (batch, row) references; output batches gather their cells
+/// column by column, cut at exactly ColumnBatch::kBatchRows rows, in
+/// probe order then build order (left-major for the nested loop).
+/// Residual predicates filter gathered candidate batches.
+Result<VecRel> JoinRelationsVec(Ctx* ctx, VecRel left, VecRel right,
+                                std::vector<ConjunctInfo>* conjuncts,
+                                const Expr* on);
 
 // ---- The logical plan ----
 

@@ -38,53 +38,17 @@ SelVec FullSel(size_t n) {
   return sel;
 }
 
-/// A relation as a sequence of column batches with selection vectors —
-/// the vectorized engine's intermediate representation.
-struct VecRel {
-  Schema schema;
-  std::vector<VecBatch> batches;
-
-  size_t ActiveRows() const {
-    size_t n = 0;
-    for (const VecBatch& b : batches) n += b.active();
-    return n;
+/// Appends `rows` to `rel` as fresh kBatchRows-sized batches (full
+/// selection).
+void AppendRowBatches(const std::vector<Row>& rows, VecRel* rel) {
+  for (size_t begin = 0; begin < rows.size();
+       begin += ColumnBatch::kBatchRows) {
+    size_t end = std::min(rows.size(), begin + ColumnBatch::kBatchRows);
+    auto batch = std::make_shared<ColumnBatch>(rel->schema.size());
+    for (size_t r = begin; r < end; ++r) batch->AppendRow(rows[r]);
+    rel->batches.push_back(VecBatch{std::move(batch), FullSel(end - begin)});
   }
-  /// Working-set bytes of the active rows under the boxed-row
-  /// accounting (RowBytes), the same figure the oblivious mode tracks.
-  uint64_t ActiveBytes() const {
-    uint64_t total = 0;
-    for (const VecBatch& b : batches) {
-      for (uint32_t i : b.sel) total += b.batch->row_bytes(i);
-    }
-    return total;
-  }
-};
-
-/// Accumulates rows into fresh kBatchRows-sized batches (full selection).
-class VecRelBuilder {
- public:
-  explicit VecRelBuilder(VecRel* rel) : rel_(rel) {}
-  ~VecRelBuilder() { Flush(); }
-
-  void Append(const Row& row) {
-    if (cur_ == nullptr) {
-      cur_ = std::make_shared<ColumnBatch>(rel_->schema.size());
-    }
-    cur_->AppendRow(row);
-    if (cur_->rows() >= ColumnBatch::kBatchRows) Flush();
-  }
-
-  void Flush() {
-    if (cur_ == nullptr || cur_->rows() == 0) return;
-    size_t n = cur_->rows();
-    rel_->batches.push_back(VecBatch{std::move(cur_), FullSel(n)});
-    cur_ = nullptr;
-  }
-
- private:
-  VecRel* rel_;
-  std::shared_ptr<ColumnBatch> cur_;
-};
+}
 
 // ---- Scan ----
 
@@ -174,10 +138,7 @@ Result<VecRel> ScanRelationVec(Ctx* ctx, const TableRef& ref,
     // Empty table: nothing to decode.
   } else {
     // Derived table: re-batch the subquery output, then filter.
-    {
-      VecRelBuilder builder(&rel);
-      for (const Row& row : source_rows) builder.Append(row);
-    }
+    AppendRowBatches(source_rows, &rel);
     if (ctx->stats != nullptr) ctx->stats->rows_scanned += source_rows.size();
     Evaluator fallback(nullptr);
     VectorEvaluator veval(&fallback, &rel.schema, ctx->outer);
@@ -251,6 +212,59 @@ Result<std::vector<std::vector<std::string>>> ComputeBatchKeys(
   return out;
 }
 
+/// Gathers a join's matches into output batches of exactly kBatchRows
+/// emitted rows, in match order. Matches queue as candidates; with
+/// residual predicates, each kBatchRows of them gather into a candidate
+/// batch whose selection every residual narrows as a filter does
+/// (unknown drops the pair), and only the survivors are emitted.
+struct JoinEmitter {
+  Ctx* ctx;
+  const std::vector<const Expr*>& residual;
+  size_t left_cols;
+  VecRel* out;
+  VectorEvaluator veval;
+  std::vector<RowPair> candidates = {};
+  std::vector<RowPair> emitted = {};
+
+  Status Add(RowRef left, RowRef right) {
+    candidates.push_back(RowPair{left, right});
+    return candidates.size() == ColumnBatch::kBatchRows ? Drain()
+                                                         : Status::OK();
+  }
+
+  /// Emits the surviving candidates; `last` also cuts the final unit.
+  Status Drain(bool last = false) {
+    SelVec sel = FullSel(candidates.size());
+    if (!residual.empty() && !sel.empty()) {
+      auto batch = Gather(candidates);
+      for (const Expr* e : residual) {
+        ctx->Charge(sel.size() * kVecFilterRowCycles);
+        RETURN_IF_ERROR(veval.Filter(*e, *batch, &sel));
+      }
+    }
+    ctx->Charge(sel.size() * kVecGatherRowCycles);
+    for (uint32_t i : sel) {
+      emitted.push_back(candidates[i]);
+      if (emitted.size() == ColumnBatch::kBatchRows) Cut();
+    }
+    candidates.clear();
+    if (last && !emitted.empty()) Cut();
+    return Status::OK();
+  }
+
+  std::shared_ptr<const ColumnBatch> Gather(const std::vector<RowPair>& p) {
+    return ColumnBatch::GatherPairs(p, left_cols,
+                                    out->schema.size() - left_cols);
+  }
+
+  void Cut() {
+    out->batches.push_back(VecBatch{Gather(emitted), FullSel(emitted.size())});
+    emitted.clear();
+  }
+};
+
+}  // namespace
+
 Result<VecRel> JoinRelationsVec(Ctx* ctx, VecRel left, VecRel right,
                                 std::vector<ConjunctInfo>* conjuncts,
                                 const Expr* on) {
@@ -259,30 +273,16 @@ Result<VecRel> JoinRelationsVec(Ctx* ctx, VecRel left, VecRel right,
   span.Tag("right_rows", static_cast<int64_t>(right.ActiveRows()));
   ctx->RecordAccess(obs::AccessKind::kJoinBegin, left.ActiveRows(),
                     right.ActiveRows());
-  Schema combined = Schema::Concat(left.schema, right.schema);
 
   JoinPredicates preds =
       ClassifyJoinPredicates(left.schema, right.schema, on, conjuncts);
   const std::vector<EquiKey>& keys = preds.keys;
 
   VecRel out;
-  out.schema = combined;
-  VecRelBuilder builder(&out);
-
-  Row joined;
-  auto emit = [&](const Row& l, const Row& r) -> Result<bool> {
-    joined = l;
-    joined.insert(joined.end(), r.begin(), r.end());
-    EvalScope scope{&combined, &joined, ctx->outer};
-    for (const Expr* e : preds.residual) {
-      ctx->Charge(kVecFilterRowCycles);
-      ASSIGN_OR_RETURN(bool ok, ctx->eval->EvalBool(*e, scope));
-      if (!ok) return false;
-    }
-    ctx->Charge(kVecGatherRowCycles);
-    builder.Append(joined);
-    return true;
-  };
+  out.schema = Schema::Concat(left.schema, right.schema);
+  JoinEmitter emitter{ctx, preds.residual, left.schema.size(), &out,
+                      VectorEvaluator(ctx->eval.get(), &out.schema,
+                                      ctx->outer)};
 
   span.Tag("kind", keys.empty() ? "nested-loop" : "hash");
   if (!keys.empty()) {
@@ -301,20 +301,16 @@ Result<VecRel> JoinRelationsVec(Ctx* ctx, VecRel left, VecRel right,
     ASSIGN_OR_RETURN(
         auto build_keys,
         ComputeBatchKeys(ctx, build, build_exprs, kVecJoinBuildRowCycles));
-    // Build rows materialize once; the hash table maps key -> indices.
-    std::vector<Row> build_rows;
-    build_rows.reserve(build.ActiveRows());
-    std::unordered_map<std::string, std::vector<size_t>> table;
+    // The hash table maps each key to its build rows, in build order.
+    std::unordered_map<std::string, std::vector<RowRef>> table;
     table.reserve(build.ActiveRows());
     for (size_t bi = 0; bi < build.batches.size(); ++bi) {
       const VecBatch& b = build.batches[bi];
       for (size_t i = 0; i < b.active(); ++i) {
         // NULL-keyed rows stay out of the table, so they match nothing.
         if (build_keys[bi][i].empty()) continue;
-        Row r;
-        b.batch->MaterializeRow(b.sel[i], &r);
-        table[build_keys[bi][i]].push_back(build_rows.size());
-        build_rows.push_back(std::move(r));
+        table[std::move(build_keys[bi][i])].push_back(
+            RowRef{b.batch.get(), b.sel[i]});
       }
     }
     ctx->TrackMemory(build.ActiveBytes());
@@ -322,50 +318,42 @@ Result<VecRel> JoinRelationsVec(Ctx* ctx, VecRel left, VecRel right,
     ASSIGN_OR_RETURN(
         auto probe_keys,
         ComputeBatchKeys(ctx, probe, probe_exprs, kVecJoinProbeRowCycles));
-    Row prow;
     for (size_t pi = 0; pi < probe.batches.size(); ++pi) {
       const VecBatch& b = probe.batches[pi];
       for (size_t i = 0; i < b.active(); ++i) {
         auto it = table.find(probe_keys[pi][i]);
         if (it == table.end()) continue;
-        b.batch->MaterializeRow(b.sel[i], &prow);
         ctx->Charge(kVecGatherRowCycles);
-        for (size_t ri : it->second) {
-          const Row& l = build_right ? prow : build_rows[ri];
-          const Row& r = build_right ? build_rows[ri] : prow;
-          RETURN_IF_ERROR(emit(l, r).status());
+        const RowRef p{b.batch.get(), b.sel[i]};
+        for (const RowRef& r : it->second) {
+          RETURN_IF_ERROR(build_right ? emitter.Add(p, r) : emitter.Add(r, p));
         }
       }
     }
   } else {
-    // Nested loop: materialize the inner side once, stream the outer.
+    // Nested loop, left-major.
     ctx->TrackMemory(right.ActiveBytes());
-    std::vector<Row> right_rows;
-    right_rows.reserve(right.ActiveRows());
-    Row tmp;
-    for (const VecBatch& b : right.batches) {
-      for (uint32_t i : b.sel) {
-        b.batch->MaterializeRow(i, &tmp);
-        right_rows.push_back(tmp);
-      }
-    }
-    Row lrow;
-    for (const VecBatch& b : left.batches) {
-      for (uint32_t i : b.sel) {
-        b.batch->MaterializeRow(i, &lrow);
-        for (const Row& r : right_rows) {
-          ctx->Charge(kVecJoinProbeRowCycles);
-          RETURN_IF_ERROR(emit(lrow, r).status());
+    const uint64_t right_rows = right.ActiveRows();
+    for (const VecBatch& lb : left.batches) {
+      for (uint32_t li : lb.sel) {
+        ctx->Charge(right_rows * kVecJoinProbeRowCycles);
+        for (const VecBatch& rb : right.batches) {
+          for (uint32_t ri : rb.sel) {
+            RETURN_IF_ERROR(emitter.Add(RowRef{lb.batch.get(), li},
+                                        RowRef{rb.batch.get(), ri}));
+          }
         }
       }
     }
   }
-  builder.Flush();
+  RETURN_IF_ERROR(emitter.Drain(/*last=*/true));
   span.Tag("rows_out", static_cast<int64_t>(out.ActiveRows()));
   ctx->RecordAccess(obs::AccessKind::kJoinEnd, out.ActiveRows(),
                     keys.empty() ? 0 : 1);
   return out;
 }
+
+namespace {
 
 // ---- Aggregation ----
 
@@ -454,12 +442,13 @@ Result<VecRel> AggregateVec(Ctx* ctx, VecRel input, const AggPlan& plan) {
   }
 
   uint64_t mem = 0;
-  VecRelBuilder builder(&out);
+  std::vector<Row> rows;
+  rows.reserve(groups.size());
   for (auto& [gkey, group] : groups) {
     mem += gkey.size() + group.second.size() * sizeof(AggState);
-    builder.Append(FinalizeGroup(group.first, aggs, group.second));
+    rows.push_back(FinalizeGroup(group.first, aggs, group.second));
   }
-  builder.Flush();
+  AppendRowBatches(rows, &out);
   ctx->TrackMemory(mem);
   return out;
 }

@@ -82,14 +82,17 @@ Status LoadTpch(sql::Database* db) {
   return gen.LoadInto(db);
 }
 
-/// One fleet per shard count, shared across the suite (building 30
-/// secure stores is the expensive part of this file). The registry is
+/// One fleet per shard count, shared by every suite deriving from this
+/// fixture (building 30 secure stores is the expensive part of this
+/// file). gtest calls SetUpTestSuite once per derived suite, so the
+/// fleets are built by the first call only. The registry is
 /// heap-allocated and never freed so the fleets stay reachable at exit
 /// (LeakSanitizer treats reachable-from-global as intentional, matching
 /// the other static fixtures in tests/).
 class FleetTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    if (fleets_ != nullptr) return;
     fleets_ = new std::map<int, ShardedCsaFleet*>();
     for (int shards : {1, 2, 4, 8}) {
       FleetOptions options;

@@ -260,6 +260,15 @@ INSTANTIATE_TEST_SUITE_P(SelectedQueries, ConfigEquivalence,
                            return "Q" + std::to_string(param_info.param);
                          });
 
+// Queries whose host phase evaluates subqueries: cached uncorrelated IN /
+// NOT IN results read in place (Q4, Q16, Q18) and correlated scalar and
+// EXISTS subqueries re-executed per outer row (Q2, Q21).
+INSTANTIATE_TEST_SUITE_P(HostPhaseSubqueries, ConfigEquivalence,
+                         ::testing::Values(2, 4, 16, 18, 21),
+                         [](const auto& param_info) {
+                           return "Q" + std::to_string(param_info.param);
+                         });
+
 // ---------------- morsel-parallel determinism ----------------
 
 /// Exact serialization, order included: parallelism must not even
