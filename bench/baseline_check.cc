@@ -9,9 +9,11 @@
 //                                  [--require-shard-scaling]
 //                                  [--against=<old.json>]
 //
-// Validates the schema. The optional `row_*` columns hold the bench's
-// baseline re-run of each query (1 shard for fig12, the pipeline with
-// one execute slot for serve, the plain engine for fig_oblivious).
+// Validates the schema. Besides `sim_cycles`/`wall_ms`, a query may carry
+// any `<prefix>_sim_cycles`/`<prefix>_wall_ms` pair: `row_*` holds the
+// bench's baseline re-run of each query (1 shard for fig12, the pipeline
+// with one execute slot for serve, the plain engine for fig_oblivious),
+// `scs_*` fig6's secure split run.
 // --require-sim-improvement additionally asserts that, summed over the
 // queries carrying a baseline re-run, the measured run spent strictly
 // fewer simulated cycles than the baseline (deterministic — the
@@ -29,18 +31,22 @@
 // help and never hurt (fig12_smoke ctest; docs/SHARDING.md).
 // --against=<old.json> compares with an older baseline of the same bench
 // (e.g. one built from the parent commit): it fails unless both name the
-// same queries and every sim_cycles (and row_sim_cycles) is bit-identical
-// — the simulated model did not drift — and prints each query's cycle
-// columns (a drifted one with its old and new value) and wall_ms delta,
-// the evidence block for a wall-clock-only change.
+// same queries and every `*sim_cycles` column the old baseline carries is
+// present and bit-identical — the simulated model did not drift (a column
+// only the new baseline carries is listed as new) — and prints each
+// query's cycle columns (a drifted one with its old and new value) and
+// every `*wall_ms` delta, the evidence block for a wall-clock-only change.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/json.h"
 
@@ -54,6 +60,21 @@ int Fail(const std::string& msg) {
 
 bool PositiveNumber(const obs::JsonValue* v) {
   return v != nullptr && v->is_number() && v->number_value >= 0;
+}
+
+bool EndsWith(const std::string& s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// The names of `q`'s members ending in `suffix`, in name order.
+std::set<std::string> Columns(const obs::JsonValue& q,
+                              std::string_view suffix) {
+  std::set<std::string> out;
+  for (const auto& [field, v] : q.object_value) {
+    if (EndsWith(field, suffix)) out.insert(field);
+  }
+  return out;
 }
 
 Result<obs::JsonValue> ReadJson(const std::string& path) {
@@ -95,19 +116,26 @@ int CompareAgainst(const obs::JsonValue& queries, const std::string& path) {
   for (const auto& [name, q] : queries.object_value) {
     const obs::JsonValue* old = old_queries->Find(name);
     if (old == nullptr) return Fail(name + ": missing from " + path);
-    // One "<field> <new> identical|DRIFTED from <old>" clause per cycle
+    // One "<field> <new> identical|new|DRIFTED from <old>" clause per cycle
     // column either baseline carries.
     bool same = true;
     std::printf("%-10s", name.c_str());
-    for (const char* field : {"sim_cycles", "row_sim_cycles"}) {
+    // "sim_cycles" first, then the prefixed pairs in name order.
+    std::set<std::string> pairs = Columns(q, "_sim_cycles");
+    pairs.merge(Columns(*old, "_sim_cycles"));
+    std::vector<std::string> fields = {"sim_cycles"};
+    fields.insert(fields.end(), pairs.begin(), pairs.end());
+    for (const std::string& field : fields) {
       const obs::JsonValue* now = q.Find(field);
       const obs::JsonValue* was = old->Find(field);
-      if (now == nullptr && was == nullptr) continue;
-      bool field_same = now != nullptr && was != nullptr &&
-                        was->is_number() &&
-                        now->number_value == was->number_value;
-      std::printf(" %s ", field);
+      std::printf(" %s ", field.c_str());
       print_cycles(now);
+      if (was == nullptr) {
+        std::printf(" new,");
+        continue;
+      }
+      bool field_same = now != nullptr && was->is_number() &&
+                        now->number_value == was->number_value;
       if (field_same) {
         std::printf(" identical,");
       } else {
@@ -117,11 +145,20 @@ int CompareAgainst(const obs::JsonValue& queries, const std::string& path) {
       }
       same = same && field_same;
     }
-    const obs::JsonValue* old_wall = old->Find("wall_ms");
-    double before = PositiveNumber(old_wall) ? old_wall->number_value : 0;
-    double after = q.Find("wall_ms")->number_value;
-    std::printf(" wall %.1f -> %.1f ms", before, after);
-    if (before > 0) std::printf(" (%+.1f%%)", 100 * (after - before) / before);
+    std::vector<std::string> walls = {"wall_ms"};
+    for (const std::string& field : Columns(q, "_wall_ms")) {
+      walls.push_back(field);
+    }
+    for (const std::string& field : walls) {
+      const obs::JsonValue* old_wall = old->Find(field);
+      if (!PositiveNumber(old_wall)) continue;
+      double before = old_wall->number_value;
+      double after = q.Find(field)->number_value;
+      std::printf(" %s %.1f -> %.1f ms", field.c_str(), before, after);
+      if (before > 0) {
+        std::printf(" (%+.1f%%)", 100 * (after - before) / before);
+      }
+    }
     std::printf("\n");
     if (!same) ++drifted;
   }
@@ -197,11 +234,16 @@ int Main(int argc, char** argv) {
     if (!PositiveNumber(workers) || workers->number_value < 1) {
       return Fail(name + ": missing \"workers\" >= 1");
     }
+    for (const std::string& field : Columns(q, "_sim_cycles")) {
+      const std::string prefix =
+          field.substr(0, field.size() - std::string_view("_sim_cycles").size());
+      if (!PositiveNumber(q.Find(field)) ||
+          !PositiveNumber(q.Find(prefix + "_wall_ms"))) {
+        return Fail(name + ": " + prefix + "_* pair must be two numbers");
+      }
+    }
     const obs::JsonValue* row_sim = q.Find("row_sim_cycles");
     if (row_sim != nullptr) {
-      if (!PositiveNumber(row_sim) || !PositiveNumber(q.Find("row_wall_ms"))) {
-        return Fail(name + ": row_* pair must be two numbers");
-      }
       vec_cycles += sim->number_value;
       row_cycles += row_sim->number_value;
       vec_wall += q.Find("wall_ms")->number_value;

@@ -225,7 +225,8 @@ inline sim::SimNanos Percentile(std::vector<sim::SimNanos>& v, int p) {
 ///    "scale_factor": <sf>,
 ///    "queries": {
 ///      "<query>": {"sim_cycles": N, "wall_ms": X, "workers": N,
-///                  "row_sim_cycles": N, "row_wall_ms": X}, ...}}
+///                  "row_sim_cycles": N, "row_wall_ms": X,
+///                  "scs_sim_cycles": N, "scs_wall_ms": X}, ...}}
 ///
 /// `sim_cycles` is the cost model's simulated elapsed time converted to
 /// host cycles at the paper profile's 3.7 GHz — integral and identical on
@@ -234,7 +235,8 @@ inline sim::SimNanos Percentile(std::vector<sim::SimNanos>& v, int p) {
 /// The `row_*` pair, when present, is the bench's baseline re-run of the
 /// same query: 1 shard for fig12, the pipeline with one execute slot for
 /// serve, the plain (non-oblivious) engine for fig_oblivious. baseline_check
-/// gates the direction between the two columns.
+/// gates the direction between the two columns. fig6 adds the `scs_*`
+/// pair: the same query on the secure split configuration.
 class BaselineWriter {
  public:
   BaselineWriter(const BenchArgs& args, std::string benchmark)
@@ -263,23 +265,25 @@ class BaselineWriter {
     e.wall_ms = wall_ms;
   }
 
-  /// Records the baseline re-run of `query` (the `row_*` columns).
-  void AddRow(const std::string& query, sim::SimNanos sim_ns,
-              double wall_ms) {
-    Entry& e = Find(query);
-    e.has_row = true;
-    e.row_sim_cycles = SimCycles(sim_ns);
-    e.row_wall_ms = wall_ms;
+  /// Records a second run of `query` as the `<prefix>_sim_cycles` /
+  /// `<prefix>_wall_ms` pair: "row" is the bench's baseline re-run (the
+  /// column the --require-sim-* gates read), "scs" fig6's secure split run.
+  void AddPair(const std::string& prefix, const std::string& query,
+               sim::SimNanos sim_ns, double wall_ms) {
+    Find(query).pairs.push_back(Pair{prefix, SimCycles(sim_ns), wall_ms});
   }
 
  private:
+  struct Pair {
+    std::string prefix;
+    uint64_t sim_cycles = 0;
+    double wall_ms = 0;
+  };
   struct Entry {
     std::string query;
     uint64_t sim_cycles = 0;
     double wall_ms = 0;
-    bool has_row = false;
-    uint64_t row_sim_cycles = 0;
-    double row_wall_ms = 0;
+    std::vector<Pair> pairs;
   };
 
   Entry& Find(const std::string& query) {
@@ -321,10 +325,11 @@ class BaselineWriter {
                    "\"workers\": %d",
                    key.c_str(), static_cast<unsigned long long>(e.sim_cycles),
                    e.wall_ms, workers_);
-      if (e.has_row) {
-        std::fprintf(f, ", \"row_sim_cycles\": %llu, \"row_wall_ms\": %.3f",
-                     static_cast<unsigned long long>(e.row_sim_cycles),
-                     e.row_wall_ms);
+      for (const Pair& pair : e.pairs) {
+        std::fprintf(f, ", \"%s_sim_cycles\": %llu, \"%s_wall_ms\": %.3f",
+                     pair.prefix.c_str(),
+                     static_cast<unsigned long long>(pair.sim_cycles),
+                     pair.prefix.c_str(), pair.wall_ms);
       }
       std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
     }

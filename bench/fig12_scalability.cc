@@ -104,7 +104,7 @@ int Main(int argc, char** argv) {
         std::printf(" %16.3f", out.cost.elapsed_ms());
       } else {
         // The 1-shard run is every multi-shard entry's "before" column.
-        baseline.AddRow(key, single_ns, run_ms);
+        baseline.AddPair("row", key, single_ns, run_ms);
         std::printf(" %13.3f", static_cast<double>(out.cost.elapsed_ns()) /
                                    static_cast<double>(single_ns));
       }

@@ -61,7 +61,7 @@ int Main(int argc, char** argv) {
 
     std::string key = "q" + std::to_string(query.number);
     baseline.Add(key, obl.cost.elapsed_ns(), obl_wall_ms);
-    baseline.AddRow(key, vec.cost.elapsed_ns(), vec_wall_ms);
+    baseline.AddPair("row", key, vec.cost.elapsed_ns(), vec_wall_ms);
 
     double overhead = obl.cost.elapsed_ms() / vec.cost.elapsed_ms();
     sum_overhead += overhead;

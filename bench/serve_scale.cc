@@ -330,7 +330,7 @@ int Main(int argc, char** argv) {
   auto emit = [&](const std::string& name, sim::SimNanos pipe,
                   sim::SimNanos base) {
     writer.Add(name, pipe, pipelined.wall_ms);
-    writer.AddRow(name, base, one_slot.wall_ms);
+    writer.AddPair("row", name, base, one_slot.wall_ms);
   };
   emit("p50_sched_delay", p.p50_sched, q.p50_sched);
   emit("p99_sched_delay", p.p99_sched, q.p99_sched);

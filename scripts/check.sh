@@ -37,9 +37,17 @@ build_and_test() {
   # Both AES / SHA-256 implementations under this build's sanitizer.
   echo "==> crypto leg ${dir} (ctest -L crypto)"
   ctest --test-dir "$dir" -L crypto --output-on-failure -j "$JOBS"
-  # Seeded adversarial mutations of the row-format decoder.
-  echo "==> fuzz leg ${dir} (ctest -L fuzz)"
+  # Seeded adversarial mutations of the row-format decoder, then a sweep
+  # of IRONSAFE_FUZZ_SEED under this build's sanitizer.
+  echo "==> fuzz leg ${dir} (ctest -L fuzz, IRONSAFE_FUZZ_SEED 1..20)"
   ctest --test-dir "$dir" -L fuzz --output-on-failure -j "$JOBS"
+  for seed in $(seq 1 20); do
+    IRONSAFE_FUZZ_SEED="$seed" ctest --test-dir "$dir" -L fuzz \
+      -R EnvSeed --output-on-failure -j "$JOBS" >/dev/null \
+      || { echo "fuzz sweep FAILED at seed $seed" >&2
+           IRONSAFE_FUZZ_SEED="$seed" ctest --test-dir "$dir" -L fuzz \
+             -R EnvSeed --output-on-failure -j "$JOBS"; exit 1; }
+  done
 }
 
 build_and_test build ""

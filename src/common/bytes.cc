@@ -74,22 +74,6 @@ void PutU64(Bytes* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
 
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0]) | static_cast<uint16_t>(p[1]) << 8;
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 void Append(Bytes* out, const Bytes& src) {
   out->insert(out->end(), src.begin(), src.end());
 }

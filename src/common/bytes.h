@@ -1,6 +1,7 @@
 #ifndef IRONSAFE_COMMON_BYTES_H_
 #define IRONSAFE_COMMON_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -31,13 +32,37 @@ Result<Bytes> HexDecode(std::string_view hex);
 bool ConstantTimeEqual(const Bytes& a, const Bytes& b);
 bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t len);
 
-/// Little-endian fixed-width integer codecs.
+/// Little-endian fixed-width integer codecs: Put* appends to `out`,
+/// StoreLE writes at `p`, LoadLE and Get* read at `p`.
 void PutU16(Bytes* out, uint16_t v);
 void PutU32(Bytes* out, uint32_t v);
 void PutU64(Bytes* out, uint64_t v);
-uint16_t GetU16(const uint8_t* p);
-uint32_t GetU32(const uint8_t* p);
-uint64_t GetU64(const uint8_t* p);
+
+template <typename T>
+inline void StoreLE(uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+template <typename T>
+inline T LoadLE(const uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+inline uint16_t GetU16(const uint8_t* p) { return LoadLE<uint16_t>(p); }
+inline uint32_t GetU32(const uint8_t* p) { return LoadLE<uint32_t>(p); }
+inline uint64_t GetU64(const uint8_t* p) { return LoadLE<uint64_t>(p); }
 
 /// Appends `src` to `out`.
 void Append(Bytes* out, const Bytes& src);
@@ -56,6 +81,10 @@ class ByteReader {
 
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
+  /// The unread bytes, for a decoder that bounds-checks inline against
+  /// remaining(); Skip(n) then consumes n <= remaining() of them.
+  const uint8_t* cursor() const { return data_ + pos_; }
+  void Skip(size_t n) { pos_ += n; }
 
   Result<uint8_t> ReadU8();
   Result<uint16_t> ReadU16();

@@ -351,8 +351,65 @@ __attribute__((target("aes"))) void CryptAesNi(const uint8_t (*keys)[16],
   }
 }
 
+// The CTR block for counter value `low`: bytes 0-7 as given (`high`, in
+// memory order), bytes 8-15 `low` big-endian.
+__attribute__((target("aes"))) __m128i CounterBlock(int64_t high,
+                                                    uint64_t low) {
+  return _mm_set_epi64x(static_cast<int64_t>(__builtin_bswap64(low)), high);
+}
+
+// CTR with eight counter blocks in flight: the counters are built in
+// registers, encrypted together, and the input is XORed in-lane.
+__attribute__((target("aes"))) void CtrAesNi(const uint8_t (*keys)[16],
+                                             int rounds,
+                                             const uint8_t* counter,
+                                             const uint8_t* in, uint8_t* out,
+                                             size_t len) {
+  __m128i k[15];
+  for (int r = 0; r <= rounds; ++r) k[r] = Load(keys[r]);
+  int64_t high;
+  std::memcpy(&high, counter, 8);
+  uint64_t low = 0;
+  for (int i = 8; i < 16; ++i) low = low << 8 | counter[i];
+  for (; len >= 16 * kLanes; len -= 16 * kLanes) {
+    __m128i b[kLanes];
+#pragma GCC unroll 8
+    for (size_t i = 0; i < kLanes; ++i) {
+      b[i] = _mm_xor_si128(CounterBlock(high, low + i), k[0]);
+    }
+    low += kLanes;
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (size_t i = 0; i < kLanes; ++i) b[i] = _mm_aesenc_si128(b[i], k[r]);
+    }
+#pragma GCC unroll 8
+    for (size_t i = 0; i < kLanes; ++i) {
+      b[i] = _mm_aesenclast_si128(b[i], k[rounds]);
+      Store(out + 16 * i, _mm_xor_si128(b[i], Load(in + 16 * i)));
+    }
+    in += 16 * kLanes;
+    out += 16 * kLanes;
+  }
+  for (; len > 0; ++low) {
+    __m128i b = _mm_xor_si128(CounterBlock(high, low), k[0]);
+    for (int r = 1; r < rounds; ++r) b = _mm_aesenc_si128(b, k[r]);
+    b = _mm_aesenclast_si128(b, k[rounds]);
+    if (len < 16) {
+      alignas(16) uint8_t keystream[16];
+      Store(keystream, b);
+      for (size_t i = 0; i < len; ++i) out[i] = in[i] ^ keystream[i];
+      return;
+    }
+    Store(out, _mm_xor_si128(b, Load(in)));
+    in += 16;
+    out += 16;
+    len -= 16;
+  }
+}
+
 constexpr internal::AesImpl kAesNi = {"aes_ni", ExpandAesNi,
-                                      CryptAesNi<false>, CryptAesNi<true>};
+                                      CryptAesNi<false>, CryptAesNi<true>,
+                                      CtrAesNi};
 
 #endif  // IRONSAFE_HAVE_AESNI
 
@@ -369,12 +426,39 @@ void XorBytes(const uint8_t* a, const uint8_t* b, uint8_t* out, size_t n) {
   for (; i < n; ++i) out[i] = a[i] ^ b[i];
 }
 
+void CtrPortable(const uint8_t (*keys)[16], int rounds, const uint8_t* counter,
+                 const uint8_t* in, uint8_t* out, size_t len) {
+  // The keystream is made a chunk at a time on the stack, so memory stays
+  // bounded however long the message is.
+  constexpr size_t kChunkBlocks = 32;
+  constexpr size_t kBlock = Aes::kBlockSize;
+  alignas(16) uint8_t keystream[kChunkBlocks * kBlock];
+  uint64_t low = 0;
+  for (int i = 8; i < 16; ++i) low = low << 8 | counter[i];
+  while (len > 0) {
+    size_t n = std::min(len, sizeof(keystream));
+    size_t blocks = (n + kBlock - 1) / kBlock;
+    for (size_t b = 0; b < blocks; ++b, ++low) {
+      uint8_t* block = keystream + kBlock * b;
+      std::memcpy(block, counter, 8);
+      for (int i = 0; i < 8; ++i) {
+        block[8 + i] = static_cast<uint8_t>(low >> (56 - 8 * i));
+      }
+    }
+    EncryptPortable(keys, rounds, keystream, keystream, blocks);
+    XorBytes(in, keystream, out, n);
+    in += n;
+    out += n;
+    len -= n;
+  }
+}
+
 }  // namespace
 
 namespace internal {
 
 const AesImpl kPortableAes = {"portable", ExpandPortable, EncryptPortable,
-                              DecryptPortable};
+                              DecryptPortable, CtrPortable};
 
 const AesImpl* HardwareAes() {
 #ifdef IRONSAFE_HAVE_AESNI
@@ -419,28 +503,7 @@ void Aes::DecryptBlocks(const uint8_t* in, uint8_t* out, size_t blocks) const {
 
 void Aes::CtrXor(const uint8_t counter[16], const uint8_t* in, uint8_t* out,
                  size_t len) const {
-  // The keystream is made a chunk at a time on the stack, so memory stays
-  // bounded however long the message is.
-  constexpr size_t kChunkBlocks = 32;
-  alignas(16) uint8_t keystream[kChunkBlocks * kBlockSize];
-  uint64_t low = 0;
-  for (int i = 8; i < 16; ++i) low = low << 8 | counter[i];
-  while (len > 0) {
-    size_t n = std::min(len, sizeof(keystream));
-    size_t blocks = (n + kBlockSize - 1) / kBlockSize;
-    for (size_t b = 0; b < blocks; ++b, ++low) {
-      uint8_t* block = keystream + kBlockSize * b;
-      std::memcpy(block, counter, 8);
-      for (int i = 0; i < 8; ++i) {
-        block[8 + i] = static_cast<uint8_t>(low >> (56 - 8 * i));
-      }
-    }
-    EncryptBlocks(keystream, keystream, blocks);
-    XorBytes(in, keystream, out, n);
-    in += n;
-    out += n;
-    len -= n;
-  }
+  impl_->ctr(enc_keys_, rounds_, counter, in, out, len);
 }
 
 Result<Bytes> AesCbcEncrypt(const Aes& aes, const Bytes& iv,

@@ -38,8 +38,11 @@ class Aes {
   void DecryptBlocks(const uint8_t* in, uint8_t* out, size_t blocks) const;
 
   /// XORs `len` bytes of `in` with the CTR keystream starting at
-  /// `counter` (big-endian counter in the low 8 bytes) into `out`; `in`
-  /// may equal `out`. The keystream is produced in fixed stack chunks.
+  /// `counter` (big-endian counter in the low 8 bytes, wrapping with no
+  /// carry into the high 8) into `out`; `in` may equal `out`. The
+  /// hardware path builds eight counter blocks in registers and XORs the
+  /// input in-lane; the portable one makes the keystream in fixed stack
+  /// chunks.
   void CtrXor(const uint8_t counter[16], const uint8_t* in, uint8_t* out,
               size_t len) const;
 

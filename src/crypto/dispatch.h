@@ -33,6 +33,12 @@ struct AesImpl {
                   uint8_t* out, size_t blocks);
   void (*decrypt)(const uint8_t (*keys)[16], int rounds, const uint8_t* in,
                   uint8_t* out, size_t blocks);
+  /// XORs `len` bytes of `in` with the CTR keystream under `keys` (the
+  /// encryption schedule) into `out`; `in` may equal `out`. Bytes 8-15 of
+  /// `counter` are a big-endian 64-bit block counter that wraps with no
+  /// carry into bytes 0-7.
+  void (*ctr)(const uint8_t (*keys)[16], int rounds, const uint8_t* counter,
+              const uint8_t* in, uint8_t* out, size_t len);
 };
 
 /// A SHA-256 compression function: folds `blocks` consecutive 64-byte

@@ -239,13 +239,15 @@ Result<sql::BatchedRows> SplitExecution::ShipFragment(
   if (!node_id.empty()) frag_span.Tag("node", node_id);
   ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> frag_stmt,
                    sql::ParseSelect(fragment.sql));
-  ASSIGN_OR_RETURN(sql::QueryResult result,
-                   sql::ExecuteSelect(storage_db, *frag_stmt, nullptr,
-                                      storage_cost, options_.storage_exec,
-                                      stats));
+  // The result stays in units: its rows are encoded straight from the
+  // columns, never boxed.
+  ASSIGN_OR_RETURN(sql::VecRel result,
+                   sql::ExecuteSelectBatches(storage_db, *frag_stmt, nullptr,
+                                             storage_cost,
+                                             options_.storage_exec, stats));
 
   obs::SpanGuard ship_span("ship", options_.span_category, storage_cost);
-  Bytes wire = net::SerializeResult(result);
+  Bytes wire = net::SerializeBatches(result);
   const uint64_t wire_bytes = wire.size();
   shipped_bytes_ += wire_bytes;
   if (channels == nullptr) {

@@ -6,14 +6,37 @@
 
 namespace ironsafe::net {
 
-Bytes SerializeResult(const sql::QueryResult& result) {
+namespace {
+/// The record batch header: the schema, then the row count.
+Bytes Header(const sql::Schema& schema, uint64_t rows) {
   Bytes out;
-  PutU32(&out, static_cast<uint32_t>(result.schema.size()));
-  for (const sql::Column& c : result.schema.columns()) {
+  PutU32(&out, static_cast<uint32_t>(schema.size()));
+  for (const sql::Column& c : schema.columns()) {
     PutLengthPrefixed(&out, c.name);
     out.push_back(static_cast<uint8_t>(c.type));
   }
-  PutU64(&out, result.rows.size());
+  PutU64(&out, rows);
+  return out;
+}
+}  // namespace
+
+Bytes SerializeBatches(const sql::VecRel& result) {
+  Bytes out = Header(result.schema, result.ActiveRows());
+  const size_t header = out.size();
+  size_t bytes = header;
+  for (const sql::VecBatch& b : result.batches) {
+    bytes += b.batch->SerializedSize(b.sel);
+  }
+  out.resize(bytes);
+  uint8_t* p = out.data() + header;
+  for (const sql::VecBatch& b : result.batches) {
+    p = b.batch->SerializeRows(b.sel, p);
+  }
+  return out;
+}
+
+Bytes SerializeResult(const sql::QueryResult& result) {
+  Bytes out = Header(result.schema, result.rows.size());
   for (const sql::Row& row : result.rows) {
     sql::SerializeRow(row, &out);
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sql/vector_eval.h"
+
 namespace ironsafe::sql {
 
 namespace {
@@ -19,7 +21,7 @@ int64_t NumPayload(const Value& v) {
 }  // namespace
 
 void ColumnBatch::PushCell(size_t c, uint8_t tag, int64_t num,
-                           std::string str) {
+                           std::string_view str) {
   Col& col = cols_[c];
   if (!col.tags.empty() && tag != col.tags[0]) col.uniform_ = false;
   col.tags.push_back(tag);
@@ -30,7 +32,7 @@ void ColumnBatch::PushCell(size_t c, uint8_t tag, int64_t num,
     col.strs.reserve(col.tags.capacity());
     col.strs.resize(col.tags.size() - 1);
   }
-  if (col.has_string) col.strs.push_back(std::move(str));
+  if (col.has_string) col.strs.emplace_back(str);
 }
 
 void ColumnBatch::EndRow(size_t bytes) {
@@ -47,7 +49,7 @@ void ColumnBatch::AppendRow(const Row& row) {
     const bool is_string = v.type() == Type::kString;
     if (is_string) bytes += v.AsString().size();
     PushCell(c, static_cast<uint8_t>(v.type()), NumPayload(v),
-             is_string ? v.AsString() : std::string());
+             is_string ? std::string_view(v.AsString()) : std::string_view());
   }
   EndRow(bytes);
 }
@@ -56,7 +58,8 @@ void ColumnBatch::AppendFrom(const ColumnBatch& src, size_t r) {
   for (size_t c = 0; c < cols_.size(); ++c) {
     const Col& from = src.cols_[c];
     PushCell(c, from.tags[r], from.nums[r],
-             from.has_string ? from.strs[r] : std::string());
+             from.has_string ? std::string_view(from.strs[r])
+                             : std::string_view());
   }
   EndRow(src.row_bytes_[r]);
 }
@@ -70,39 +73,80 @@ void ColumnBatch::Reserve(size_t rows) {
 }
 
 Status ColumnBatch::AppendSerialized(ByteReader* reader) {
-  ASSIGN_OR_RETURN(uint16_t n, reader->ReadU16());
+  const uint8_t* const begin = reader->cursor();
+  const uint8_t* const end = begin + reader->remaining();
+  const uint8_t* p = begin;
+  auto truncated = [] { return Status::InvalidArgument("truncated row"); };
+  if (end - p < 2) return truncated();
+  const uint16_t n = LoadLE<uint16_t>(p);
+  p += 2;
   if (n != cols_.size()) return Status::Corruption("row arity mismatch");
   size_t bytes = sizeof(Row) + n * sizeof(Value);
   for (uint16_t c = 0; c < n; ++c) {
-    ASSIGN_OR_RETURN(uint8_t tag, reader->ReadU8());
-    uint64_t num = 0;
-    std::string str;
+    if (p == end) return truncated();
+    const uint8_t tag = *p++;
+    int64_t num = 0;
+    std::string_view str;
     switch (static_cast<Type>(tag)) {
       case Type::kNull:
         break;
-      case Type::kBool: {
-        ASSIGN_OR_RETURN(uint8_t b, reader->ReadU8());
-        num = b != 0;
+      case Type::kBool:
+        if (p == end) return truncated();
+        num = *p++ != 0;
         break;
-      }
       case Type::kInt64:
       case Type::kDouble:  // its IEEE-754 bit pattern, kept as is
-      case Type::kDate: {
-        ASSIGN_OR_RETURN(num, reader->ReadU64());
+      case Type::kDate:
+        if (end - p < 8) return truncated();
+        num = static_cast<int64_t>(LoadLE<uint64_t>(p));
+        p += 8;
         break;
-      }
       case Type::kString: {
-        ASSIGN_OR_RETURN(str, reader->ReadLengthPrefixedString());
-        bytes += str.size();
+        if (end - p < 4) return truncated();
+        const uint32_t len = LoadLE<uint32_t>(p);
+        p += 4;
+        if (static_cast<size_t>(end - p) < len) return truncated();
+        str = std::string_view(reinterpret_cast<const char*>(p), len);
+        p += len;
+        bytes += len;
         break;
       }
       default:
         return Status::Corruption("unknown value type tag");
     }
-    PushCell(c, tag, static_cast<int64_t>(num), std::move(str));
+    PushCell(c, tag, num, str);
   }
   EndRow(bytes);
+  reader->Skip(static_cast<size_t>(p - begin));
   return Status::OK();
+}
+
+size_t ColumnBatch::SerializedSize(const SelVec& sel) const {
+  size_t bytes = 2 * sel.size();
+  for (const Col& col : cols_) {
+    if (col.uniform() && !col.has_string) {
+      bytes += sel.size() * CellBytes(col.first_tag(), 0);
+      continue;
+    }
+    for (uint32_t r : sel) {
+      bytes += CellBytes(col.tags[r], col.has_string ? col.strs[r].size() : 0);
+    }
+  }
+  return bytes;
+}
+
+uint8_t* ColumnBatch::SerializeRows(const SelVec& sel, uint8_t* p) const {
+  const auto arity = static_cast<uint16_t>(cols_.size());
+  for (uint32_t r : sel) {
+    StoreLE(p, arity);
+    p += 2;
+    for (const Col& col : cols_) {
+      p = WriteCell(p, col.tags[r], col.nums[r],
+                    col.has_string ? std::string_view(col.strs[r])
+                                   : std::string_view());
+    }
+  }
+  return p;
 }
 
 Value ColumnBatch::GetValue(size_t c, size_t r) const {
@@ -147,35 +191,28 @@ Result<std::shared_ptr<const ColumnBatch>> ColumnBatch::FromPage(
   return std::shared_ptr<const ColumnBatch>(std::move(batch));
 }
 
-std::shared_ptr<const ColumnBatch> ColumnBatch::GatherPairs(
-    const std::vector<RowPair>& pairs, size_t left_cols, size_t right_cols) {
-  auto out = std::make_shared<ColumnBatch>(left_cols + right_cols);
-  const size_t n = pairs.size();
-  // Every output row boxes left_cols + right_cols values; string cells
-  // add their lengths as the columns fill.
-  out->row_bytes_.assign(
-      n, static_cast<uint32_t>(sizeof(Row) + out->num_cols() * sizeof(Value)));
-  for (size_t c = 0; c < left_cols; ++c) {
-    out->GatherColumn(c, pairs, &RowPair::left, c);
-  }
-  for (size_t c = 0; c < right_cols; ++c) {
-    out->GatherColumn(left_cols + c, pairs, &RowPair::right, c);
-  }
-  for (uint32_t bytes : out->row_bytes_) out->total_row_bytes_ += bytes;
-  out->rows_ = n;
-  return out;
+void ColumnBatch::StartRows(size_t n) {
+  // Every row boxes num_cols() values; string cells add their lengths as
+  // the columns fill.
+  row_bytes_.assign(
+      n, static_cast<uint32_t>(sizeof(Row) + num_cols() * sizeof(Value)));
+  rows_ = n;
 }
 
-void ColumnBatch::GatherColumn(size_t c, const std::vector<RowPair>& pairs,
-                               RowRef RowPair::*side, size_t src_c) {
+void ColumnBatch::FinishRows() {
+  for (uint32_t bytes : row_bytes_) total_row_bytes_ += bytes;
+}
+
+template <typename RefAt>
+void ColumnBatch::GatherColumn(size_t c, size_t src_c, const RefAt& ref_at) {
   constexpr auto kNullTag = static_cast<uint8_t>(Type::kNull);
   constexpr auto kStringTag = static_cast<uint8_t>(Type::kString);
-  const size_t n = pairs.size();
+  const size_t n = rows_;
   Col& col = cols_[c];
   col.tags.resize(n);
   col.nums.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const RowRef& ref = pairs[i].*side;
+    const RowRef ref = ref_at(i);
     const Col& src = ref.batch->cols_[src_c];
     const uint8_t tag = src.tags[ref.row];
     col.tags[i] = tag;
@@ -192,6 +229,64 @@ void ColumnBatch::GatherColumn(size_t c, const std::vector<RowPair>& pairs,
       row_bytes_[i] += static_cast<uint32_t>(col.strs[i].size());
     }
   }
+}
+
+std::shared_ptr<const ColumnBatch> ColumnBatch::GatherPairs(
+    const std::vector<RowPair>& pairs, size_t left_cols, size_t right_cols) {
+  auto out = std::make_shared<ColumnBatch>(left_cols + right_cols);
+  out->StartRows(pairs.size());
+  for (size_t c = 0; c < left_cols; ++c) {
+    out->GatherColumn(c, c, [&](size_t i) { return pairs[i].left; });
+  }
+  for (size_t c = 0; c < right_cols; ++c) {
+    out->GatherColumn(left_cols + c, c,
+                      [&](size_t i) { return pairs[i].right; });
+  }
+  out->FinishRows();
+  return out;
+}
+
+std::shared_ptr<const ColumnBatch> ColumnBatch::Gather(
+    std::span<const RowRef> refs, size_t num_cols) {
+  auto out = std::make_shared<ColumnBatch>(num_cols);
+  out->StartRows(refs.size());
+  for (size_t c = 0; c < num_cols; ++c) {
+    out->GatherColumn(c, c, [&](size_t i) { return refs[i]; });
+  }
+  out->FinishRows();
+  return out;
+}
+
+std::shared_ptr<const ColumnBatch> ColumnBatch::FromColumns(
+    std::vector<VecCol>* cols, size_t rows) {
+  auto out = std::make_shared<ColumnBatch>(cols->size());
+  out->StartRows(rows);
+  for (size_t c = 0; c < cols->size(); ++c) {
+    VecCol& in = (*cols)[c];
+    Col& col = out->cols_[c];
+    if (in.kind != VecCol::Kind::kGeneric) {
+      const Type type = in.kind == VecCol::Kind::kI64   ? Type::kInt64
+                        : in.kind == VecCol::Kind::kF64 ? Type::kDouble
+                                                        : Type::kDate;
+      col.tags.assign(rows, static_cast<uint8_t>(type));
+      col.nums = std::move(in.nums);
+      continue;
+    }
+    col.tags.reserve(rows);
+    col.nums.reserve(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      const Value& v = in.vals[i];
+      const bool is_string = v.type() == Type::kString;
+      if (is_string) {
+        out->row_bytes_[i] += static_cast<uint32_t>(v.AsString().size());
+      }
+      out->PushCell(c, static_cast<uint8_t>(v.type()), NumPayload(v),
+                    is_string ? std::string_view(v.AsString())
+                              : std::string_view());
+    }
+  }
+  out->FinishRows();
+  return out;
 }
 
 }  // namespace ironsafe::sql

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sql/schema.h"
@@ -17,6 +19,7 @@ namespace ironsafe::sql {
 using SelVec = std::vector<uint32_t>;
 
 class ColumnBatch;
+struct VecCol;
 
 /// One row of a batch, by reference: what a join collects per match
 /// instead of boxing the row.
@@ -90,12 +93,22 @@ class ColumnBatch {
   /// to read, so no reservation is sized by an untrusted count alone.
   void Reserve(size_t rows);
   /// The one decoder of the row format, shared by heap-file pages and
-  /// the wire's record batches: a u16 value count, then per value a tag
-  /// byte and its payload, read straight into the columns. A value count
-  /// other than num_cols() or an unknown tag is Corruption; truncation is
-  /// ByteReader's InvalidArgument. On error the batch is left partial and
-  /// must be discarded.
+  /// the wire's record batches: a u16 value count, then per value one
+  /// cell (value.h: a tag byte and its payload), read straight into the
+  /// columns through a raw cursor with inline bounds checks. A value
+  /// count other than num_cols() or an unknown tag is Corruption;
+  /// truncation is InvalidArgument. On error the batch is left partial
+  /// and must be discarded.
   Status AppendSerialized(ByteReader* reader);
+
+  /// Bytes SerializeRows writes for the rows `sel`.
+  size_t SerializedSize(const SelVec& sel) const;
+  /// The one writer of the row format, AppendSerialized's inverse: writes
+  /// the rows `sel` in order at `p`, which has SerializedSize(sel) bytes
+  /// of room, each as its u16 arity and one WriteCell per column straight
+  /// from the columns; returns the end. Byte-identical to SerializeRow of
+  /// MaterializeRow, row by row.
+  uint8_t* SerializeRows(const SelVec& sel, uint8_t* p) const;
 
   /// Rebuilds the Value at (col, row).
   Value GetValue(size_t c, size_t r) const;
@@ -121,13 +134,27 @@ class ColumnBatch {
   static std::shared_ptr<const ColumnBatch> GatherPairs(
       const std::vector<RowPair>& pairs, size_t left_cols,
       size_t right_cols);
+  /// The rows `refs` (each from a batch of `num_cols` columns) in order,
+  /// gathered column by column; equal to AppendFrom of each.
+  static std::shared_ptr<const ColumnBatch> Gather(
+      std::span<const RowRef> refs, size_t num_cols);
+  /// A projection's output unit: column c is `(*cols)[c]`, all of `rows`
+  /// entries (their typed payloads are moved out). Every cell, flag and
+  /// row_bytes equals what AppendRow of the boxed rows would build.
+  static std::shared_ptr<const ColumnBatch> FromColumns(
+      std::vector<VecCol>* cols, size_t rows);
 
  private:
-  void PushCell(size_t c, uint8_t tag, int64_t num, std::string str);
+  void PushCell(size_t c, uint8_t tag, int64_t num, std::string_view str);
   void EndRow(size_t bytes);
-  /// Fills output column `c` from column `src_c` of each pair's `side`.
-  void GatherColumn(size_t c, const std::vector<RowPair>& pairs,
-                    RowRef RowPair::*side, size_t src_c);
+  /// Sizes the batch to `n` rows of boxed-row base size; the gathers and
+  /// FromColumns fill the columns and add string lengths, then Finish.
+  void StartRows(size_t n);
+  void FinishRows();
+  /// Fills output column `c` from column `src_c` of `ref_at(i)`'s batch
+  /// for each output row i.
+  template <typename RefAt>
+  void GatherColumn(size_t c, size_t src_c, const RefAt& ref_at);
 
   std::vector<Col> cols_;
   std::vector<uint32_t> row_bytes_;
@@ -142,6 +169,30 @@ struct VecBatch {
   SelVec sel;
 
   size_t active() const { return sel.size(); }
+};
+
+/// A relation as a sequence of column batches with selection vectors:
+/// the plain pipeline's intermediate representation and the form a
+/// SELECT's result takes before any row materializes
+/// (ExecuteSelectBatches).
+struct VecRel {
+  Schema schema;
+  std::vector<VecBatch> batches;
+
+  size_t ActiveRows() const {
+    size_t n = 0;
+    for (const VecBatch& b : batches) n += b.active();
+    return n;
+  }
+  /// Working-set bytes of the active rows under the boxed-row
+  /// accounting (RowBytes), the same figure the oblivious mode tracks.
+  uint64_t ActiveBytes() const {
+    uint64_t total = 0;
+    for (const VecBatch& b : batches) {
+      for (uint32_t i : b.sel) total += b.batch->row_bytes(i);
+    }
+    return total;
+  }
 };
 
 }  // namespace ironsafe::sql

@@ -330,29 +330,7 @@ Status MergeSlices(Ctx* ctx, std::vector<S>* slices, std::string_view name,
   return Status::OK();
 }
 
-// ---- The plain pipeline's relations ----
-
-/// A relation as a sequence of column batches with selection vectors —
-/// the plain pipeline's intermediate representation.
-struct VecRel {
-  Schema schema;
-  std::vector<VecBatch> batches;
-
-  size_t ActiveRows() const {
-    size_t n = 0;
-    for (const VecBatch& b : batches) n += b.active();
-    return n;
-  }
-  /// Working-set bytes of the active rows under the boxed-row
-  /// accounting (RowBytes), the same figure the oblivious mode tracks.
-  uint64_t ActiveBytes() const {
-    uint64_t total = 0;
-    for (const VecBatch& b : batches) {
-      for (uint32_t i : b.sel) total += b.batch->row_bytes(i);
-    }
-    return total;
-  }
-};
+// ---- The plain pipeline's join ----
 
 /// The plain pipeline's join (vector_executor.cc): a hash join on the
 /// equi keys ClassifyJoinPredicates finds, else a nested loop. Matches
@@ -487,13 +465,13 @@ Result<QueryResult> ExecuteSelectWithoutFrom(Database* db,
                                              sim::CostModel* cost,
                                              const ExecOptions& opts);
 
-/// The batch-at-a-time columnar engine (vector_executor.cc).
-Result<QueryResult> ExecuteSelectVectorized(Database* db,
-                                            const SelectStmt& stmt,
-                                            const EvalScope* outer,
-                                            sim::CostModel* cost,
-                                            const ExecOptions& opts,
-                                            ExecStats* stats);
+/// The batch-at-a-time columnar engine (vector_executor.cc); its result
+/// is units, not rows (ExecuteSelectBatches).
+Result<VecRel> ExecuteSelectVectorized(Database* db, const SelectStmt& stmt,
+                                       const EvalScope* outer,
+                                       sim::CostModel* cost,
+                                       const ExecOptions& opts,
+                                       ExecStats* stats);
 
 /// The oblivious mode (oblivious_executor.cc): one dummy-padded pipeline
 /// whose access trace and cost depend only on input shapes.

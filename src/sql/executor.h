@@ -5,6 +5,7 @@
 
 #include "common/result.h"
 #include "sql/ast.h"
+#include "sql/column_batch.h"
 #include "sql/eval.h"
 #include "sim/cost_model.h"
 
@@ -66,6 +67,18 @@ Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt,
                                   sim::CostModel* cost,
                                   const ExecOptions& opts = {},
                                   ExecStats* stats = nullptr);
+
+/// ExecuteSelect's result before any row materializes: column batches
+/// with selections. SELECT * keeps the scanned (or joined) batches and
+/// their selection vectors; projected items, ORDER BY output and derived
+/// tables are new units gathered column by column. The oblivious
+/// pipeline and SELECT without FROM produce rows, which wrap into units
+/// once. Same rows, stats and simulated cost as ExecuteSelect.
+Result<VecRel> ExecuteSelectBatches(Database* db, const SelectStmt& stmt,
+                                    const EvalScope* outer,
+                                    sim::CostModel* cost,
+                                    const ExecOptions& opts = {},
+                                    ExecStats* stats = nullptr);
 
 }  // namespace ironsafe::sql
 

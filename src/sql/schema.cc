@@ -58,8 +58,14 @@ std::string Schema::ToString() const {
 }
 
 void SerializeRow(const Row& row, Bytes* out) {
-  PutU16(out, static_cast<uint16_t>(row.size()));
-  for (const Value& v : row) v.Serialize(out);
+  size_t bytes = 2;
+  for (const Value& v : row) bytes += v.SerializedSize();
+  const size_t at = out->size();
+  out->resize(at + bytes);
+  uint8_t* p = out->data() + at;
+  StoreLE(p, static_cast<uint16_t>(row.size()));
+  p += 2;
+  for (const Value& v : row) p = v.SerializeTo(p);
 }
 
 size_t RowBytes(const Row& row) {

@@ -100,28 +100,22 @@ size_t Value::Hash() const {
 }
 
 void Value::Serialize(Bytes* out) const {
-  out->push_back(static_cast<uint8_t>(type_));
-  switch (type_) {
-    case Type::kNull:
-      break;
-    case Type::kBool:
-      out->push_back(int_ ? 1 : 0);
-      break;
-    case Type::kInt64:
-    case Type::kDate:
-      PutU64(out, static_cast<uint64_t>(int_));
-      break;
-    case Type::kDouble: {
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(double_));
-      std::memcpy(&bits, &double_, sizeof(bits));
-      PutU64(out, bits);
-      break;
-    }
-    case Type::kString:
-      PutLengthPrefixed(out, str_);
-      break;
+  const size_t at = out->size();
+  out->resize(at + SerializedSize());
+  SerializeTo(out->data() + at);
+}
+
+size_t Value::SerializedSize() const {
+  return CellBytes(static_cast<uint8_t>(type_), str_.size());
+}
+
+uint8_t* Value::SerializeTo(uint8_t* p) const {
+  int64_t num = int_;
+  if (type_ == Type::kDouble) {
+    static_assert(sizeof(num) == sizeof(double_));
+    std::memcpy(&num, &double_, sizeof(num));
   }
+  return WriteCell(p, static_cast<uint8_t>(type_), num, str_);
 }
 
 // ---- Date helpers (proleptic Gregorian, civil-days algorithms) ----

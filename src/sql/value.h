@@ -2,7 +2,9 @@
 #define IRONSAFE_SQL_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/bytes.h"
@@ -61,9 +63,13 @@ class Value {
   /// Hash consistent with operator== for numeric cross-type equality.
   size_t Hash() const;
 
-  /// Appends the row-format encoding: a tag byte, then the payload.
-  /// ColumnBatch::AppendSerialized is the decoder.
+  /// Appends the row-format encoding (WriteCell): a tag byte, then the
+  /// payload. ColumnBatch::AppendSerialized is the decoder.
   void Serialize(Bytes* out) const;
+  /// CellBytes of this value.
+  size_t SerializedSize() const;
+  /// WriteCell of this value at `p`; returns the end of the cell.
+  uint8_t* SerializeTo(uint8_t* p) const;
 
  private:
   Value(Type t, int64_t v) : type_(t), int_(v) {}
@@ -75,6 +81,52 @@ class Value {
   double double_ = 0;
   std::string str_;
 };
+
+// ---- The row format's cell, defined once ----
+//
+// A cell is a tag byte (static_cast<uint8_t>(Type)) and its payload:
+// nothing for NULL, one byte (0 or 1) for BOOL, a little-endian u64 for
+// INT64, DATE and DOUBLE (its IEEE-754 bit pattern), and a little-endian
+// u32 length then the bytes for STRING. Value::Serialize, SerializeRow and
+// ColumnBatch::SerializeRows all write cells through WriteCell;
+// ColumnBatch::AppendSerialized is the one reader.
+
+/// Bytes of a cell tagged `tag` (a string's payload is `str_len` bytes).
+/// Callers pass valid tags only.
+inline size_t CellBytes(uint8_t tag, size_t str_len) {
+  switch (static_cast<Type>(tag)) {
+    case Type::kNull:
+      return 1;
+    case Type::kBool:
+      return 2;
+    case Type::kString:
+      return 5 + str_len;
+    default:
+      return 9;
+  }
+}
+
+/// Writes the cell (tag, payload) at `p`, which has CellBytes of room, and
+/// returns its end. `num` is the BOOL/INT64/DATE value or the DOUBLE bit
+/// pattern; `str` is read for STRING only.
+inline uint8_t* WriteCell(uint8_t* p, uint8_t tag, int64_t num,
+                          std::string_view str) {
+  *p++ = tag;
+  switch (static_cast<Type>(tag)) {
+    case Type::kNull:
+      return p;
+    case Type::kBool:
+      *p = num != 0 ? 1 : 0;
+      return p + 1;
+    case Type::kString:
+      StoreLE(p, static_cast<uint32_t>(str.size()));
+      if (!str.empty()) std::memcpy(p + 4, str.data(), str.size());
+      return p + 4 + str.size();
+    default:
+      StoreLE(p, static_cast<uint64_t>(num));
+      return p + 8;
+  }
+}
 
 /// Parses "YYYY-MM-DD" to days since epoch.
 Result<int64_t> ParseDate(std::string_view iso);

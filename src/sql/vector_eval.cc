@@ -67,6 +67,27 @@ void AppendNormalizedKey(const VecCol& c, size_t i, Bytes* key) {
   }
 }
 
+void AppendCellKey(const ColumnBatch& batch, size_t c, size_t r, Bytes* key) {
+  const ColumnBatch::Col& col = batch.col(c);
+  const uint8_t tag = col.tags[r];
+  switch (static_cast<Type>(tag)) {
+    case Type::kInt64:
+      vec::AppendKeyI64(key, col.nums[r]);
+      return;
+    case Type::kDouble:
+      vec::AppendKeyF64(key, vec::F64FromBits(col.nums[r]));
+      return;
+    default: {  // the serialized cell, as Value::Serialize writes it
+      const std::string_view str =
+          col.has_string ? std::string_view(col.strs[r]) : std::string_view();
+      const size_t at = key->size();
+      key->resize(at + CellBytes(tag, str.size()));
+      WriteCell(key->data() + at, tag, col.nums[r], str);
+      return;
+    }
+  }
+}
+
 int VectorEvaluator::FastColumn(const Expr& e) const {
   if (e.kind != ExprKind::kColumn) return -1;
   int idx = schema_->Find(e.column_name);

@@ -57,6 +57,10 @@ inline void AppendKey(const Value& v, Bytes* key) {
 /// join and the oblivious sort-merge join agree on keys.
 void AppendNormalizedKey(const VecCol& c, size_t i, Bytes* key);
 
+/// AppendKey of the cell at (column `c`, row `r`) of `batch`, without
+/// boxing it: what DISTINCT compares output rows by.
+void AppendCellKey(const ColumnBatch& batch, size_t c, size_t r, Bytes* key);
+
 /// Batch-at-a-time expression evaluation. Predicates with a proven
 /// uniform-typed shape (non-null single-type column vs literal) run as
 /// tight kernels over the raw payload arrays; everything else falls back

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "sql/database.h"
@@ -48,6 +49,29 @@ void AppendRowBatches(const std::vector<Row>& rows, VecRel* rel) {
     for (size_t r = begin; r < end; ++r) batch->AppendRow(rows[r]);
     rel->batches.push_back(VecBatch{std::move(batch), FullSel(end - begin)});
   }
+}
+
+/// Appends the rows `refs`, in order, to `rel` as fresh kBatchRows-sized
+/// batches (full selection), each gathered column by column.
+void GatherUnits(const std::vector<RowRef>& refs, VecRel* rel) {
+  const std::span<const RowRef> all(refs);
+  for (size_t begin = 0; begin < refs.size();
+       begin += ColumnBatch::kBatchRows) {
+    const size_t n = std::min(refs.size() - begin, ColumnBatch::kBatchRows);
+    rel->batches.push_back(
+        VecBatch{ColumnBatch::Gather(all.subspan(begin, n), rel->schema.size()),
+                 FullSel(n)});
+  }
+}
+
+/// The active rows of `rel`, in order.
+std::vector<RowRef> ActiveRefs(const VecRel& rel) {
+  std::vector<RowRef> refs;
+  refs.reserve(rel.ActiveRows());
+  for (const VecBatch& b : rel.batches) {
+    for (uint32_t r : b.sel) refs.push_back(RowRef{b.batch.get(), r});
+  }
+  return refs;
 }
 
 // ---- Scan ----
@@ -116,14 +140,13 @@ Result<VecRel> ScanRelationVec(Ctx* ctx, const TableRef& ref,
   span.Tag("table", ref.subquery ? "derived:" + ref.alias : ref.table_name);
   ctx->RecordAccess(obs::AccessKind::kScanBegin);
   VecRel rel;
-  std::vector<Row> source_rows;
+  VecRel source;
   Table* table = nullptr;
   if (ref.subquery) {
-    ASSIGN_OR_RETURN(QueryResult sub,
-                     ExecuteSelect(ctx->db, *ref.subquery, ctx->outer,
-                                   ctx->cost, ctx->opts));
-    rel.schema = sub.schema.Qualified(ref.alias);
-    source_rows = std::move(sub.rows);
+    ASSIGN_OR_RETURN(source,
+                     ExecuteSelectBatches(ctx->db, *ref.subquery, ctx->outer,
+                                          ctx->cost, ctx->opts));
+    rel.schema = source.schema.Qualified(ref.alias);
   } else {
     ASSIGN_OR_RETURN(Table * t, ctx->db->GetTable(ref.table_name));
     table = t;
@@ -138,8 +161,8 @@ Result<VecRel> ScanRelationVec(Ctx* ctx, const TableRef& ref,
     // Empty table: nothing to decode.
   } else {
     // Derived table: re-batch the subquery output, then filter.
-    AppendRowBatches(source_rows, &rel);
-    if (ctx->stats != nullptr) ctx->stats->rows_scanned += source_rows.size();
+    GatherUnits(ActiveRefs(source), &rel);
+    if (ctx->stats != nullptr) ctx->stats->rows_scanned += rel.ActiveRows();
     Evaluator fallback(nullptr);
     VectorEvaluator veval(&fallback, &rel.schema, ctx->outer);
     std::vector<VecBatch> kept;
@@ -455,12 +478,12 @@ Result<VecRel> AggregateVec(Ctx* ctx, VecRel input, const AggPlan& plan) {
 
 }  // namespace
 
-Result<QueryResult> ExecuteSelectVectorized(Database* db,
-                                            const SelectStmt& stmt,
-                                            const EvalScope* outer,
-                                            sim::CostModel* cost,
-                                            const ExecOptions& opts,
-                                            ExecStats* stats) {
+Result<VecRel> ExecuteSelectVectorized(Database* db,
+                                       const SelectStmt& stmt,
+                                       const EvalScope* outer,
+                                       sim::CostModel* cost,
+                                       const ExecOptions& opts,
+                                       ExecStats* stats) {
   Ctx ctx(db, cost, opts, stats, outer);
   StageSpan select_span(&ctx, "select");
   ctx.RecordAccess(obs::AccessKind::kQueryBegin, 0);
@@ -531,12 +554,14 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
     current.batches = std::move(kept);
   }
 
-  // 5. Projection: items evaluate batch-at-a-time into typed columns,
-  //    then materialize into the result rows (hidden ORDER BY keys
-  //    that read input-schema columns alongside).
-  QueryResult result;
+  // 5. Projection. SELECT * keeps the batches and their selections;
+  //    items evaluate batch-at-a-time into the columns of new units, with
+  //    the hidden ORDER BY keys that read input-schema columns alongside.
+  VecRel result;
   ProjectionPlan proj;
-  std::vector<std::vector<Value>> hidden_keys;
+  // Per output unit, its hidden ORDER BY key columns, indexed by row (a
+  // projected unit starts with a full selection).
+  std::vector<std::vector<VecCol>> hidden_keys;
   {
     StageSpan project_span(&ctx, "project");
     project_span.Tag("rows", static_cast<int64_t>(current.ActiveRows()));
@@ -544,19 +569,13 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
                      PlanProjection(plan.items, order_by, current.schema));
     result.schema = proj.schema;
     if (proj.star_only) {
-      result.rows.reserve(current.ActiveRows());
-      Row tmp;
       for (const VecBatch& b : current.batches) {
         ctx.Charge(kVecBatchCycles + b.active() * kVecGatherRowCycles);
-        for (uint32_t i : b.sel) {
-          b.batch->MaterializeRow(i, &tmp);
-          result.rows.push_back(tmp);
-        }
       }
+      result.batches = std::move(current.batches);
     } else {
       VectorEvaluator veval(ctx.eval.get(), &current.schema, ctx.outer);
       std::vector<VecCol> cols(plan.items.size());
-      std::vector<VecCol> hcols;
       for (const VecBatch& b : current.batches) {
         size_t n = b.active();
         ctx.Charge(kVecBatchCycles + n * kVecProjectRowCycles);
@@ -564,7 +583,7 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
           RETURN_IF_ERROR(
               veval.Eval(*plan.items[c].expr, *b.batch, b.sel, &cols[c]));
         }
-        hcols.clear();
+        std::vector<VecCol> hcols;
         if (proj.any_hidden) {
           for (size_t k = 0; k < order_by.size(); ++k) {
             if (!proj.order_from_input[k]) continue;
@@ -573,58 +592,67 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
                 veval.Eval(*order_by[k].expr, *b.batch, b.sel, &hcols.back()));
           }
         }
-        for (size_t i = 0; i < n; ++i) {
-          Row out_row;
-          out_row.reserve(plan.items.size());
-          for (const VecCol& c : cols) out_row.push_back(c.Get(i));
-          if (proj.any_hidden) {
-            std::vector<Value> hk;
-            hk.reserve(hcols.size());
-            for (const VecCol& c : hcols) hk.push_back(c.Get(i));
-            hidden_keys.push_back(std::move(hk));
-          }
-          result.rows.push_back(std::move(out_row));
-        }
+        if (n == 0) continue;
+        result.batches.push_back(
+            VecBatch{ColumnBatch::FromColumns(&cols, n), FullSel(n)});
+        hidden_keys.push_back(std::move(hcols));
       }
     }
   }
 
-  // 6. DISTINCT.
+  // 6. DISTINCT narrows the selections to each row's first occurrence.
   if (stmt.distinct) {
     std::set<std::string> seen;
-    std::vector<Row> kept;
-    std::vector<std::vector<Value>> kept_hidden;
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      Bytes key = KeyOf(result.rows[i]);
-      if (seen.insert(std::string(key.begin(), key.end())).second) {
-        kept.push_back(std::move(result.rows[i]));
-        if (!hidden_keys.empty()) {
-          kept_hidden.push_back(std::move(hidden_keys[i]));
+    Bytes key;
+    for (VecBatch& b : result.batches) {
+      SelVec kept;
+      for (uint32_t r : b.sel) {
+        key.clear();
+        for (size_t c = 0; c < result.schema.size(); ++c) {
+          AppendCellKey(*b.batch, c, r, &key);
+        }
+        if (seen.insert(std::string(key.begin(), key.end())).second) {
+          kept.push_back(r);
+        }
+      }
+      b.sel = std::move(kept);
+    }
+  }
+
+  // 7. ORDER BY: a scalar stable sort of the active rows by their boxed
+  //    keys, then one column-by-column gather in the sorted order.
+  if (!order_by.empty()) {
+    StageSpan sort_span(&ctx, "sort");
+    const size_t n = result.ActiveRows();
+    sort_span.Tag("rows", static_cast<int64_t>(n));
+    ctx.RecordAccess(obs::AccessKind::kSort, n);
+    struct SortKey {
+      std::vector<Value> keys;
+      RowRef ref;
+    };
+    std::vector<SortKey> sort_keys;
+    sort_keys.reserve(n);
+    VectorEvaluator veval(ctx.eval.get(), &result.schema, ctx.outer);
+    std::vector<VecCol> kcols(order_by.size());
+    for (size_t u = 0; u < result.batches.size(); ++u) {
+      const VecBatch& b = result.batches[u];
+      for (size_t k = 0; k < order_by.size(); ++k) {
+        if (proj.order_from_input[k]) continue;
+        RETURN_IF_ERROR(
+            veval.Eval(*order_by[k].expr, *b.batch, b.sel, &kcols[k]));
+      }
+      for (size_t i = 0; i < b.sel.size(); ++i) {
+        SortKey& sk = sort_keys.emplace_back();
+        sk.ref = RowRef{b.batch.get(), b.sel[i]};
+        sk.keys.reserve(order_by.size());
+        size_t hidden = 0;
+        for (size_t k = 0; k < order_by.size(); ++k) {
+          sk.keys.push_back(proj.order_from_input[k]
+                                ? hidden_keys[u][hidden++].Get(b.sel[i])
+                                : kcols[k].Get(i));
         }
       }
     }
-    result.rows = std::move(kept);
-    hidden_keys = std::move(kept_hidden);
-  }
-
-  // 7. ORDER BY (a scalar sort — sorting is not a batch operation).
-  if (!order_by.empty()) {
-    StageSpan sort_span(&ctx, "sort");
-    sort_span.Tag("rows", static_cast<int64_t>(result.rows.size()));
-    ctx.RecordAccess(obs::AccessKind::kSort, result.rows.size());
-    struct SortKey {
-      std::vector<Value> keys;
-      size_t index;
-    };
-    std::vector<SortKey> sort_keys(result.rows.size());
-    const std::vector<Value> no_hidden;
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      sort_keys[i].index = i;
-      ASSIGN_OR_RETURN(sort_keys[i].keys,
-                       OrderKeys(&ctx, order_by, proj, result.rows[i],
-                                 proj.any_hidden ? hidden_keys[i] : no_hidden));
-    }
-    size_t n = result.rows.size();
     if (n > 1) {
       ctx.Charge(kSortCmpCycles * n *
                  static_cast<uint64_t>(std::max(1.0, std::log2(double(n)))));
@@ -637,31 +665,49 @@ Result<QueryResult> ExecuteSelectVectorized(Database* db,
                        }
                        return false;
                      });
-    std::vector<Row> sorted;
-    sorted.reserve(n);
-    for (const SortKey& sk : sort_keys) {
-      sorted.push_back(std::move(result.rows[sk.index]));
+    std::vector<RowRef> order;
+    order.reserve(n);
+    for (const SortKey& sk : sort_keys) order.push_back(sk.ref);
+    VecRel sorted{result.schema, {}};
+    GatherUnits(order, &sorted);
+    result.batches = std::move(sorted.batches);
+    ctx.TrackMemory(result.ActiveBytes());
+  }
+
+  // 8. LIMIT narrows the selections to the first `limit` active rows.
+  if (stmt.limit >= 0) {
+    size_t left = static_cast<size_t>(stmt.limit);
+    for (VecBatch& b : result.batches) {
+      if (b.sel.size() > left) b.sel.resize(left);
+      left -= b.sel.size();
     }
-    result.rows = std::move(sorted);
-    uint64_t bytes = 0;
-    for (const Row& r : result.rows) bytes += RowBytes(r);
-    ctx.TrackMemory(bytes);
   }
 
-  // 8. LIMIT.
-  if (stmt.limit >= 0 &&
-      result.rows.size() > static_cast<size_t>(stmt.limit)) {
-    result.rows.resize(stmt.limit);
-  }
-
-  if (stats != nullptr) stats->rows_output += result.rows.size();
-  select_span.Tag("rows_out", static_cast<int64_t>(result.rows.size()));
-  ctx.RecordAccess(obs::AccessKind::kResult, result.rows.size());
+  const size_t rows_out = result.ActiveRows();
+  if (stats != nullptr) stats->rows_output += rows_out;
+  select_span.Tag("rows_out", static_cast<int64_t>(rows_out));
+  ctx.RecordAccess(obs::AccessKind::kResult, rows_out);
   ctx.FlushCharges();
   return result;
 }
 
 }  // namespace exec
+
+Result<VecRel> ExecuteSelectBatches(Database* db, const SelectStmt& stmt,
+                                    const EvalScope* outer,
+                                    sim::CostModel* cost,
+                                    const ExecOptions& opts,
+                                    ExecStats* stats) {
+  if (stmt.from.empty() || opts.oblivious) {
+    // These pipelines produce rows; they wrap into units once, here.
+    ASSIGN_OR_RETURN(QueryResult rows,
+                     ExecuteSelect(db, stmt, outer, cost, opts, stats));
+    VecRel rel{std::move(rows.schema), {}};
+    exec::AppendRowBatches(rows.rows, &rel);
+    return rel;
+  }
+  return exec::ExecuteSelectVectorized(db, stmt, outer, cost, opts, stats);
+}
 
 Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt,
                                   const EvalScope* outer, sim::CostModel* cost,
@@ -672,7 +718,15 @@ Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt,
   if (opts.oblivious) {
     return exec::ExecuteSelectOblivious(db, stmt, outer, cost, opts, stats);
   }
-  return exec::ExecuteSelectVectorized(db, stmt, outer, cost, opts, stats);
+  ASSIGN_OR_RETURN(VecRel rel, exec::ExecuteSelectVectorized(
+                                   db, stmt, outer, cost, opts, stats));
+  // The one place the plain engine's result rows materialize.
+  QueryResult result{std::move(rel.schema), {}};
+  result.rows.reserve(rel.ActiveRows());
+  for (const VecBatch& b : rel.batches) {
+    for (uint32_t r : b.sel) b.batch->MaterializeRow(r, &result.rows.emplace_back());
+  }
+  return result;
 }
 
 }  // namespace ironsafe::sql

@@ -401,6 +401,44 @@ TEST_P(AesKat, Sp80038aCtr256AllBlocks) {
   EXPECT_EQ(ct, pt);
 }
 
+// CTR keystream block j is the portable AES of the counter with its low
+// 64 bits (big-endian, bytes 8-15) advanced by j modulo 2^64 and bytes
+// 0-7 untouched. The counter starts 3 blocks below the wrap, so the wrap
+// falls inside the first 8-block group of the AES-NI path. Every length
+// (a partial block, one block less or more, the 8-block group plus one,
+// and a long message with a partial tail) runs out of place and in place.
+TEST_P(AesKat, CtrWrapsLow64BitsLikePortableBlocks) {
+  const Bytes key =
+      Hx("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+  Aes aes = Make(key);
+  auto portable = internal::CreateAes(key, internal::kPortableAes);
+  ASSERT_TRUE(portable.ok());
+  Bytes counter = Hx("0102030405060708fffffffffffffffd");
+  for (size_t len : {1, 15, 17, 129, 65541}) {
+    Bytes in(len);
+    for (size_t i = 0; i < len; ++i) in[i] = static_cast<uint8_t>(i * 131 + 7);
+    Bytes expected(len);
+    for (size_t j = 0; j * 16 < len; ++j) {
+      uint64_t low = 0xfffffffffffffffdull + j;
+      uint8_t block[16];
+      std::copy(counter.begin(), counter.begin() + 8, block);
+      for (int i = 0; i < 8; ++i) {
+        block[8 + i] = static_cast<uint8_t>(low >> (56 - 8 * i));
+      }
+      portable->EncryptBlock(block, block);
+      for (size_t i = 0; i < 16 && j * 16 + i < len; ++i) {
+        expected[j * 16 + i] = in[j * 16 + i] ^ block[i];
+      }
+    }
+    Bytes out(len);
+    aes.CtrXor(counter.data(), in.data(), out.data(), len);
+    EXPECT_EQ(out, expected) << "out of place, " << len << " bytes";
+    Bytes in_place = in;
+    aes.CtrXor(counter.data(), in_place.data(), in_place.data(), len);
+    EXPECT_EQ(in_place, expected) << "in place, " << len << " bytes";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Impls, AesKat, ::testing::ValuesIn(AesImpls()),
                          ImplName<internal::AesImpl>);
 

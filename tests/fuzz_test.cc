@@ -5,10 +5,14 @@
 // mutation must fail with a typed Status of the expected code, never
 // crash, and never size an allocation by a count the bytes claim (a
 // reservation for 2^40 rows or a 4 GiB string would abort the test).
-// Deterministic: the random sweeps use fixed seeds.
+// Deterministic: the random sweeps use fixed seeds, plus one more that
+// IRONSAFE_FUZZ_SEED picks (scripts/check.sh sweeps it under ASan and
+// UBSan).
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -214,6 +218,82 @@ TEST(ColumnBatchCodec, ArityOffByOneIsCorruption) {
 
 TEST(ColumnBatchCodec, SeededMutationsFailClosed) {
   for (uint64_t seed : {1, 2, 3}) ExpectSeededMutationsFailClosed(Page(), seed);
+}
+
+uint64_t EnvSeed() {
+  const char* env = std::getenv("IRONSAFE_FUZZ_SEED");
+  const uint64_t seed = env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
+  std::printf("[fuzz] IRONSAFE_FUZZ_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
+  return seed;
+}
+
+TEST(WireProperty, SeededMutationsAtEnvSeedFailClosed) {
+  ExpectSeededMutationsFailClosed(Wire(), 1000 + EnvSeed());
+}
+
+TEST(ColumnBatchCodec, SeededMutationsAtEnvSeedFailClosed) {
+  ExpectSeededMutationsFailClosed(Page(), 1000 + EnvSeed());
+}
+
+// ---- The decoder's bounds, one cell at a time ----
+
+/// One serialized row of one column holding `cell`.
+Bytes OneCellRow(const Bytes& cell) {
+  Bytes row;
+  PutU16(&row, 1);
+  Append(&row, cell);
+  return row;
+}
+
+/// Decodes `row` into a fresh one-column batch; on success the whole
+/// input must be consumed.
+Status DecodeOne(const Bytes& row) {
+  sql::ColumnBatch batch(1);
+  ByteReader reader(row);
+  Status st = batch.AppendSerialized(&reader);
+  if (st.ok()) {
+    EXPECT_TRUE(reader.AtEnd());
+  }
+  return st;
+}
+
+Bytes StringCell(uint32_t claimed_len, std::string_view bytes) {
+  Bytes cell = {static_cast<uint8_t>(sql::Type::kString)};
+  PutU32(&cell, claimed_len);
+  Append(&cell, bytes);
+  return cell;
+}
+
+TEST(ColumnBatchCodec, StringLengthEqualToBytesLeftIsAccepted) {
+  Bytes row = OneCellRow(StringCell(5, "hello"));
+  sql::ColumnBatch batch(1);
+  ByteReader reader(row);
+  ASSERT_TRUE(batch.AppendSerialized(&reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(batch.col(0).strs[0], "hello");
+  ExpectCode(DecodeOne(OneCellRow(StringCell(6, "hello"))),
+             StatusCode::kInvalidArgument, "length one past the end");
+  EXPECT_TRUE(DecodeOne(OneCellRow(StringCell(0, ""))).ok());
+}
+
+TEST(ColumnBatchCodec, PayloadCutAtItsLastByteIsTruncation) {
+  for (const Value& v : {Value::Bool(true), Value::Int(-7),
+                         Value::Double(2.5), Value::Date(9000)}) {
+    Bytes cell;
+    v.Serialize(&cell);
+    EXPECT_TRUE(DecodeOne(OneCellRow(cell)).ok()) << v.ToString();
+    cell.pop_back();
+    ExpectCode(DecodeOne(OneCellRow(cell)), StatusCode::kInvalidArgument,
+               "cut " + v.ToString());
+  }
+}
+
+TEST(ColumnBatchCodec, StringLengthAllOnesIsTruncation) {
+  ExpectCode(DecodeOne(OneCellRow(StringCell(0xFFFFFFFFu, "abc"))),
+             StatusCode::kInvalidArgument, "length 0xFFFFFFFF");
+  ExpectCode(DecodeOne(OneCellRow(StringCell(0xFFFFFFFFu, ""))),
+             StatusCode::kInvalidArgument, "length 0xFFFFFFFF, no bytes");
 }
 
 }  // namespace

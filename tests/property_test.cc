@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "common/random.h"
 #include "crypto/aead.h"
@@ -18,9 +20,11 @@
 #include "securestore/merkle_tree.h"
 #include "securestore/secure_store.h"
 #include "tee/rpmb.h"
+#include "sql/column_batch.h"
 #include "sql/eval.h"
 #include "sql/parser.h"
 #include "sql/value.h"
+#include "sql/vector_eval.h"
 
 namespace ironsafe {
 namespace {
@@ -377,6 +381,157 @@ TEST(ParserProperty, PrintedFormIsAFixpoint) {
     EXPECT_EQ((*second)->ToString(), p1);
   }
 }
+
+// ---------------- the row format: one writer, one reader ----------------
+
+double DoubleFromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+/// A random cell of a column that mostly holds `type` and sometimes any
+/// of the six types (mixed tags): NULLs, -0.0 and NaN payloads, empty
+/// strings and strings over 255 bytes.
+sql::Value RandomCell(Random* rng, int type) {
+  if (rng->Bernoulli(0.2)) type = static_cast<int>(rng->Uniform(6));
+  switch (static_cast<sql::Type>(type)) {
+    case sql::Type::kNull:
+      return sql::Value::Null();
+    case sql::Type::kBool:
+      return sql::Value::Bool(rng->Bernoulli(0.5));
+    case sql::Type::kInt64:
+      return sql::Value::Int(static_cast<int64_t>(rng->Next()));
+    case sql::Type::kDouble:
+      switch (rng->Uniform(4)) {
+        case 0:
+          return sql::Value::Double(-0.0);
+        case 1:  // a quiet NaN with a payload
+          return sql::Value::Double(
+              DoubleFromBits(0x7ff8000000000000ull | rng->Uniform(1u << 20)));
+        case 2:
+          return sql::Value::Double(rng->NextDouble() * 1e6 - 5e5);
+        default:
+          return sql::Value::Double(DoubleFromBits(rng->Next()));
+      }
+    case sql::Type::kString: {
+      const size_t len = rng->Bernoulli(0.2)   ? 0
+                         : rng->Bernoulli(0.3) ? 256 + rng->Uniform(300)
+                                               : rng->Uniform(24);
+      std::string str(len, ' ');
+      for (char& ch : str) ch = static_cast<char>(rng->Uniform(256));
+      return sql::Value::String(std::move(str));
+    }
+    case sql::Type::kDate:
+      return sql::Value::Date(rng->UniformRange(-20000, 40000));
+  }
+  return sql::Value::Null();
+}
+
+/// A random unit of `cols` columns and up to 300 rows (sometimes none),
+/// built by AppendRow, by Gather of another unit's rows, or by
+/// FromColumns (typed columns and boxed ones).
+std::shared_ptr<const sql::ColumnBatch> RandomUnit(Random* rng, size_t cols) {
+  const size_t rows = rng->Bernoulli(0.1) ? 0 : 1 + rng->Uniform(300);
+  std::vector<int> types(cols);
+  for (int& t : types) t = static_cast<int>(rng->Uniform(6));
+  auto built = std::make_shared<sql::ColumnBatch>(cols);
+  for (size_t r = 0; r < rows; ++r) {
+    sql::Row row;
+    for (size_t c = 0; c < cols; ++c) row.push_back(RandomCell(rng, types[c]));
+    built->AppendRow(row);
+  }
+  switch (rng->Uniform(3)) {
+    case 0:
+      return built;
+    case 1: {
+      std::vector<sql::RowRef> refs;
+      for (size_t r = 0; r < rows; ++r) {
+        refs.push_back(sql::RowRef{built.get(),
+                                   static_cast<uint32_t>(rng->Uniform(rows))});
+      }
+      return sql::ColumnBatch::Gather(refs, cols);
+    }
+    default: {
+      std::vector<sql::VecCol> vcols(cols);
+      for (size_t c = 0; c < cols; ++c) {
+        const bool typed = rng->Bernoulli(0.5);
+        vcols[c].kind = !typed ? sql::VecCol::Kind::kGeneric
+                        : rng->Bernoulli(0.3) ? sql::VecCol::Kind::kF64
+                        : rng->Bernoulli(0.5) ? sql::VecCol::Kind::kDate
+                                              : sql::VecCol::Kind::kI64;
+        for (size_t r = 0; r < rows; ++r) {
+          if (typed) {
+            vcols[c].nums.push_back(static_cast<int64_t>(rng->Next()));
+          } else {
+            vcols[c].vals.push_back(RandomCell(rng, types[c]));
+          }
+        }
+      }
+      return sql::ColumnBatch::FromColumns(&vcols, rows);
+    }
+  }
+}
+
+class RowFormatProperty : public ::testing::TestWithParam<uint64_t> {};
+
+// The batch writer equals the row writer row by row, and the one reader
+// gives back every cell and the flags and sizes of the selected rows.
+TEST_P(RowFormatProperty, BatchEncoderEqualsRowEncoderAndRoundTrips) {
+  Random rng(GetParam());
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t cols = 1 + rng.Uniform(6);
+    auto unit = RandomUnit(&rng, cols);
+    sql::SelVec sel;  // gapped: each row kept with probability 1/2
+    for (uint32_t r = 0; r < unit->rows(); ++r) {
+      if (rng.Bernoulli(0.5)) sel.push_back(r);
+    }
+    if (trial % 8 == 0) sel.clear();
+
+    Bytes expected;
+    sql::Row row;
+    for (uint32_t r : sel) {
+      unit->MaterializeRow(r, &row);
+      sql::SerializeRow(row, &expected);
+    }
+    ASSERT_EQ(unit->SerializedSize(sel), expected.size()) << "trial " << trial;
+    Bytes written(unit->SerializedSize(sel));
+    uint8_t* end = unit->SerializeRows(sel, written.data());
+    ASSERT_EQ(end, written.data() + written.size());
+    ASSERT_EQ(written, expected) << "trial " << trial;
+
+    sql::ColumnBatch decoded(cols);
+    sql::ColumnBatch reference(cols);  // the selected rows, cell by cell
+    ByteReader reader(written);
+    for (uint32_t r : sel) {
+      ASSERT_TRUE(decoded.AppendSerialized(&reader).ok()) << "trial " << trial;
+      reference.AppendFrom(*unit, r);
+    }
+    ASSERT_TRUE(reader.AtEnd());
+    ASSERT_EQ(decoded.rows(), sel.size());
+    for (size_t c = 0; c < cols; ++c) {
+      const sql::ColumnBatch::Col& got = decoded.col(c);
+      const sql::ColumnBatch::Col& want = reference.col(c);
+      EXPECT_EQ(got.tags, want.tags) << "trial " << trial << " col " << c;
+      EXPECT_EQ(got.nums, want.nums) << "trial " << trial << " col " << c;
+      EXPECT_EQ(got.has_null, want.has_null);
+      EXPECT_EQ(got.has_string, want.has_string);
+      EXPECT_EQ(got.uniform(), want.uniform());
+      for (size_t i = 0; i < sel.size() && got.has_string; ++i) {
+        EXPECT_EQ(got.strs[i], unit->col(c).has_string
+                                   ? unit->col(c).strs[sel[i]]
+                                   : std::string());
+      }
+    }
+    for (size_t i = 0; i < sel.size(); ++i) {
+      EXPECT_EQ(decoded.row_bytes(i), unit->row_bytes(sel[i]));
+    }
+    EXPECT_EQ(decoded.total_row_bytes(), reference.total_row_bytes());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RowFormatProperty,
+                         ::testing::Values(1, 2, 3, 4));
 
 // ---------------- wire format fuzz-ish robustness ----------------
 

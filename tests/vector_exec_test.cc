@@ -177,10 +177,10 @@ TEST(VectorExecEdge, SharedMemoryUnitsUnderParallelScansAndRescans) {
 /// `rows` under `schema` qualified by `alias`, cut into batches of
 /// `batch_rows`; with `odd_only` just the odd rows of each batch are
 /// active, so the join reads through selection vectors.
-exec::VecRel MakeRel(const std::string& alias, const Schema& schema,
+VecRel MakeRel(const std::string& alias, const Schema& schema,
                      const std::vector<Row>& rows, size_t batch_rows,
                      bool odd_only = false) {
-  exec::VecRel rel;
+  VecRel rel;
   rel.schema = schema.Qualified(alias);
   for (size_t begin = 0; begin < rows.size(); begin += batch_rows) {
     auto batch = std::make_shared<ColumnBatch>(schema.size());
@@ -197,7 +197,7 @@ exec::VecRel MakeRel(const std::string& alias, const Schema& schema,
   return rel;
 }
 
-std::vector<Row> ActiveRows(const exec::VecRel& rel) {
+std::vector<Row> ActiveRows(const VecRel& rel) {
   std::vector<Row> rows;
   for (const VecBatch& b : rel.batches) {
     for (uint32_t i : b.sel) b.batch->MaterializeRow(i, &rows.emplace_back());
@@ -210,7 +210,7 @@ std::vector<Row> ActiveRows(const exec::VecRel& rel) {
 /// units cut at kBatchRows rows. Pairs run probe-major: left-major when
 /// the right input is the build side (or for a nested loop).
 std::vector<std::shared_ptr<ColumnBatch>> ReferenceJoin(
-    const exec::VecRel& left, const exec::VecRel& right, const Expr* on,
+    const VecRel& left, const VecRel& right, const Expr* on,
     bool left_major) {
   Schema combined = Schema::Concat(left.schema, right.schema);
   std::vector<Row> lrows = ActiveRows(left);
@@ -245,8 +245,8 @@ std::vector<std::shared_ptr<ColumnBatch>> ReferenceJoin(
 /// Joins `left` and `right` on `on_sql` (empty: a cross join) through the
 /// engine and checks every output unit against ReferenceJoin, field by
 /// field. Returns the number of joined rows.
-size_t ExpectJoinMatchesRows(const exec::VecRel& left,
-                             const exec::VecRel& right,
+size_t ExpectJoinMatchesRows(const VecRel& left,
+                             const VecRel& right,
                              const std::string& on_sql, bool left_major) {
   ExprPtr on;
   if (!on_sql.empty()) {
